@@ -38,7 +38,7 @@ __all__ = [
     "run_test_fixed_loc_scale",
 ]
 
-_BISECT_MAX_ITER = 200
+_ROOT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,14 @@ def fit_null_mle(data, lam: float) -> LocationScale:
 
     Location: the median for ``lam = 1`` (midpoint of the two central order
     statistics for even n), the sample mean for ``lam = 2``, otherwise the
-    unique root of ``sum |x_i - mu|^(lam-1) sign(x_i - mu) = 0``, found by
-    bisection on ``[min x, max x]`` run to floating-point exhaustion (the
-    score is continuous and decreasing in mu for lam > 1).
+    unique root of ``s(mu) = sum |x_i - mu|^(lam-1) sign(x_i - mu) = 0``
+    (continuous and decreasing in mu for lam > 1).  The root is kept in a
+    bracket that starts as ``[min x, max x]`` and shrinks by the sign of
+    ``s``.  Each pass takes the Newton step ``s / s'``, with
+    ``s' = (lam-1) sum |x_i - mu|^(lam-2)``, doubled when it is not under
+    half the previous step, if it lands strictly inside the bracket, and
+    bisects otherwise.  The solve stops when ``s == 0`` or when the bracket
+    has closed to adjacent doubles.
     Scale: ``(mean((lam/2) |x_i - mu|^lam))^(1/lam)``.
     """
     lam = check_lambda(lam)
@@ -176,21 +181,41 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     elif lam == 2.0:
         mu = float(np.mean(x))
     else:
-        # Bisection down to the last representable midpoint; full convergence
-        # keeps the statistic affine-invariant to ~1e-10 even for shifted data.
+        # Full convergence keeps the statistic affine-invariant to ~1e-10
+        # even for shifted data.  s' is 0/0 when mu sits on a data point and
+        # may overflow for lam near 1; either way the pass bisects.  A step
+        # not under half the previous one means Newton cycles or walks the
+        # rounding noise of s near the root: doubled, it lands past the root
+        # and closes the bracket from the far side.  A step that rounds to mu
+        # moves one ulp instead.  An overflow of the powers still warns from
+        # the scale line below.
         lo, hi = float(x.min()), float(x.max())
-        mu = 0.5 * (lo + hi)
-        for _ in range(_BISECT_MAX_ITER):
-            if mu == lo or mu == hi:
-                break
-            s = float(np.sum(np.abs(x - mu) ** (lam - 1.0) * np.sign(x - mu)))
-            if s > 0.0:
-                lo = mu
-            elif s < 0.0:
-                hi = mu
-            else:
-                break
-            mu = 0.5 * (lo + hi)
+        mu = min(max(float(np.mean(x)), lo), hi)
+        dx = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(_ROOT_MAX_ITER):
+                d = x - mu
+                ad = np.abs(d)
+                p = ad ** (lam - 1.0)
+                s = float(np.copysign(p, d).sum())
+                if s > 0.0:
+                    lo = mu
+                elif s < 0.0:
+                    hi = mu
+                else:
+                    break
+                ds = (lam - 1.0) * float((p / ad).sum())
+                h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
+                if 2.0 * abs(h) > abs(dx):
+                    h *= 2.0
+                step = mu + h
+                if step == mu:
+                    step = math.nextafter(mu, hi if s > 0.0 else lo)
+                elif not lo < step < hi:
+                    step = 0.5 * (lo + hi)
+                if step == lo or step == hi:
+                    break
+                dx, mu = step - mu, step
     sigma = float(np.mean(0.5 * lam * np.abs(x - mu) ** lam)) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")

@@ -78,7 +78,7 @@ def test_c02_scores_have_zero_mean():
     )
 
 
-@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("lam", [1.0, 2.0, 1.5])
 def test_c03_null_law(lam):
     cfg = StudyConfig(lam=lam, n=2000, reps=5000, seed=42, alpha_grid=(0.05,))
     report = run_null_study(cfg)

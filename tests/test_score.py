@@ -1,12 +1,14 @@
 """Tests for the score vectors, null MLE, covariance formulas and the test.
 
 The closed-form score components are validated against central finite
-differences of the log density; the bisection MLE against a dense grid scan
-of its estimating equation; the covariance entries against the quadrature
-and Monte Carlo cross-checks exercised in the simulation tests.
+differences of the log density; the root-solved MLE against a dense grid
+scan of its estimating equation and against a plain bisection oracle; the
+covariance entries against the quadrature and Monte Carlo cross-checks
+exercised in the simulation tests.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +34,50 @@ from apdgof.score import (
 
 LOG2_PSI2 = 1.1159315156584124  # log 2 + digamma(2), 50-digit reference
 LAM_GRID = [1.0, 1.5, 2.0, 3.0]
+
+
+def location_score(x, mu, lam):
+    """The location estimating equation, summed exactly as the oracle does."""
+    return float(np.sum(np.abs(x - mu) ** (lam - 1.0) * np.sign(x - mu)))
+
+
+def bisection_location(x, lam):
+    """Reference root of the location equation: plain bisection on
+    ``[min x, max x]`` down to the last representable midpoint."""
+    lo, hi = float(x.min()), float(x.max())
+    mu = 0.5 * (lo + hi)
+    for _ in range(200):
+        if mu == lo or mu == hi:
+            break
+        s = location_score(x, mu, lam)
+        if s > 0.0:
+            lo = mu
+        elif s < 0.0:
+            hi = mu
+        else:
+            break
+        mu = 0.5 * (lo + hi)
+    return mu
+
+
+def assert_matches_bisection(x, lam):
+    """``fit_null_mle`` agrees with the bisection oracle.
+
+    Both solves stop at a sign change of the computed score between adjacent
+    doubles, or at an exact zero of it.  The computed score is non-increasing
+    in mu, so its zeros form one run of doubles; that run can be wider than
+    2 ulp of mu when |mu| is small against the spread of x, and then any
+    point of it is an equally exact root.
+    """
+    fit = fit_null_mle(x, lam)
+    ref = bisection_location(x, lam)
+    assert math.isfinite(fit.mu) and x.min() <= fit.mu <= x.max()
+    if abs(fit.mu - ref) > 2.0 * np.spacing(abs(ref)):
+        assert location_score(x, fit.mu, lam) == 0.0
+        assert location_score(x, ref, lam) == 0.0
+    ref_sigma = float(np.mean(0.5 * lam * np.abs(x - ref) ** lam)) ** (1.0 / lam)
+    assert_allclose(fit.sigma, ref_sigma, rtol=1e-14, atol=0)
+    return fit
 
 
 class TestShapeScore:
@@ -135,7 +181,7 @@ class TestFitNullMle:
         fit = fit_null_mle([1.0, 2.0, 4.0, 100.0], 1.0)
         assert fit.mu == 3.0
 
-    def test_bisection_against_grid_scan(self):
+    def test_root_solve_against_grid_scan(self):
         data = np.array([-1.0, 0.0, 1.0, 4.0])
         lam = 3.0
         fit = fit_null_mle(data, lam)
@@ -148,6 +194,49 @@ class TestFitNullMle:
             total[k - 1] - total[k]
         )
         assert abs(fit.mu - root) < 1e-6
+
+    @pytest.mark.parametrize("n", [2, 7, 2000])
+    @pytest.mark.parametrize("loc,scale", [(0.0, 1.0), (1000.0, 50.0), (0.0, 1e-3)])
+    @pytest.mark.parametrize("lam", [1.001, 1.01, 1.1, 1.3, 1.5, 2.5, 3.0, 4.5, 20.0])
+    def test_root_solve_matches_bisection(self, lam, loc, scale, n):
+        rng = np.random.default_rng([n, round(1000 * lam)])
+        data = apd.sample(apd.ApdParams(0.5, lam, loc, scale), n, rng)
+        assert_matches_bisection(data, lam)
+
+    @pytest.mark.parametrize(
+        "lam,data,mu",
+        [
+            # the start (the mean) is a data point: s' is 0/0, so it bisects
+            (1.5, [-3.0, 0.0, 1.0, 2.0], None),
+            # the score is exactly zero at the start
+            (1.5, [-1.0, 0.0, 1.0], 0.0),
+            # the root is the midpoint
+            (3.0, [0.0, 1.0], 0.5),
+            # heavy ties
+            (1.2, [0.0] * 50 + [1.0] * 3, None),
+            # undamped Newton cycles here without closing the bracket
+            (
+                1.3,
+                [
+                    1.765142051594806,
+                    1.526075041058638,
+                    -0.051721419376130735,
+                    -2.3536093826300246,
+                    0.03414399461174597,
+                    -0.38339474726513595,
+                    0.07351468995565573,
+                ],
+                None,
+            ),
+        ],
+    )
+    def test_root_solve_safeguards(self, lam, data, mu):
+        x = np.array(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = assert_matches_bisection(x, lam)
+        if mu is not None:
+            assert fit.mu == mu
 
     @pytest.mark.parametrize("lam", LAM_GRID + [1.2, 4.5])
     def test_stationarity(self, lam):
