@@ -27,6 +27,11 @@ from scipy import special as sc
 from .errors import DomainError
 from .numerics import gamma_sample
 
+_LOG2 = math.log(2.0)
+# Where the incomplete-gamma argument t falls below this, e^-t and the
+# higher series terms of P(a, t) are 1 to double precision.
+_TINY = 1e-20
+
 __all__ = [
     "ApdParams",
     "SepdParams",
@@ -85,15 +90,32 @@ class SepdParams:
             raise DomainError(f"s must be positive, got {self.s}")
 
 
+def _log_delta(theta1: float, theta2: float) -> float:
+    # log(2ab/(a+b)) = log 2 - log(1/a + 1/b); a and b underflow for large
+    # theta2, their logs do not.
+    return _LOG2 - float(
+        np.logaddexp(-theta2 * math.log(theta1), -theta2 * math.log1p(-theta1))
+    )
+
+
+def _root_delta(theta1: float, theta2: float) -> float:
+    # delta^(1/theta2), which lies between min(theta1, 1 - theta1) and 1 for
+    # every theta2; each branch exponent is 0.5 (root_delta |y| / base)^theta2.
+    return math.exp(_log_delta(theta1, theta2) / theta2)
+
+
 def delta_coeff(theta1: float, theta2: float) -> float:
     """Common exponent coefficient ``2ab/(a+b)`` of the two density branches.
 
     Here ``a = theta1^theta2`` and ``b = (1-theta1)^theta2``; the value lies
-    in (0, 2) and collapses to ``2**-theta2`` in the symmetric case.
+    in (0, 2) and collapses to ``2**-theta2`` in the symmetric case.  Raises
+    :class:`DomainError` where it underflows (large ``theta2``); the rest of
+    this module works with its logarithm instead.
     """
-    a = theta1**theta2
-    b = (1.0 - theta1) ** theta2
-    return 2.0 * a * b / (a + b)
+    delta = math.exp(_log_delta(theta1, theta2))
+    if delta == 0.0:
+        raise DomainError(f"delta underflows for theta2={theta2}")
+    return delta
 
 
 def side_coeff(y_sign: int, theta1: float, theta2: float) -> float:
@@ -114,9 +136,7 @@ def side_coeff(y_sign: int, theta1: float, theta2: float) -> float:
 def _log_norm_const(p: ApdParams) -> float:
     # log of delta^(1/t2) / (2^(1/t2) Gamma(1 + 1/t2))
     inv = 1.0 / p.theta2
-    return inv * (math.log(delta_coeff(p.theta1, p.theta2)) - math.log(2.0)) - float(
-        sc.gammaln(1.0 + inv)
-    )
+    return inv * (_log_delta(p.theta1, p.theta2) - _LOG2) - float(sc.gammaln(1.0 + inv))
 
 
 def log_pdf(x, p: ApdParams):
@@ -125,11 +145,10 @@ def log_pdf(x, p: ApdParams):
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
     y = (x - p.mu) / p.sigma
-    delta = delta_coeff(p.theta1, p.theta2)
     base = np.where(y < 0, p.theta1, np.where(y > 0, 1.0 - p.theta1, 0.5))
     out = (
         _log_norm_const(p)
-        - 0.5 * delta / base**p.theta2 * np.abs(y) ** p.theta2
+        - 0.5 * (_root_delta(p.theta1, p.theta2) * np.abs(y) / base) ** p.theta2
         - math.log(p.sigma)
     )
     return float(out) if out.ndim == 0 else out
@@ -152,16 +171,17 @@ def cdf(x, p: ApdParams):
         raise DomainError("x must be finite")
     y = (x - p.mu) / p.sigma
     t1, t2 = p.theta1, p.theta2
-    delta = delta_coeff(t1, t2)
     a = 1.0 / t2
-    ay = np.abs(y)
-    t_left = 0.5 * delta * (ay / t1) ** t2
-    t_right = 0.5 * delta * (ay / (1.0 - t1)) ** t2
-    out = np.where(
-        y < 0,
-        t1 * sc.gammaincc(a, t_left),
-        t1 + (1.0 - t1) * sc.gammainc(a, t_right),
-    )
+    z = _root_delta(t1, t2) * np.abs(y) / np.where(y < 0, t1, 1.0 - t1)
+    with np.errstate(over="ignore", divide="ignore"):
+        t = 0.5 * z**t2
+        # Below _TINY, P(a, t) = t^a / Gamma(1 + a) to double precision, and
+        # t^a = z / 2^a stays representable where t underflows (large theta2).
+        p_small = np.exp(np.log(z) - a * _LOG2 - sc.gammaln(1.0 + a))
+    small = t < _TINY
+    lower = np.where(small, p_small, sc.gammainc(a, t))
+    upper = np.where(small, 1.0 - p_small, sc.gammaincc(a, t))
+    out = np.where(y < 0, t1 * upper, t1 + (1.0 - t1) * lower)
     return float(out) if out.ndim == 0 else out
 
 
@@ -169,13 +189,13 @@ def quantile(u, p: ApdParams):
     """Quantile function, the exact inverse of :func:`cdf` on (0, 1).
 
     Closed-form inversion of the piecewise incomplete-gamma representation;
-    ``quantile(theta1) == mu``.
+    ``quantile(theta1) == mu``.  Raises :class:`DomainError` where the
+    quantile overflows.
     """
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("u must lie in (0, 1)")
     t1, t2 = p.theta1, p.theta2
-    delta = delta_coeff(t1, t2)
     a = 1.0 / t2
     left = u <= t1
     q_left = np.where(left, u / t1, 1.0)
@@ -185,20 +205,31 @@ def quantile(u, p: ApdParams):
         sc.gammainccinv(a, q_left),
         sc.gammaincinv(a, q_right),
     )
-    mag = (2.0 * t / delta) ** (1.0 / t2)
+    with np.errstate(over="ignore", divide="ignore"):
+        # The inverse of the small-t branch of cdf: (2t)^a = 2^a Gamma(1 + a) P.
+        p_lower = np.where(left, 1.0 - q_left, q_right)
+        root_small = np.exp(a * _LOG2 + sc.gammaln(1.0 + a) + np.log(p_lower))
+        mag = np.where(t < _TINY, root_small, (2.0 * t) ** a) / _root_delta(t1, t2)
     y = np.where(left, -t1 * mag, (1.0 - t1) * mag)
     out = p.mu + p.sigma * y
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"quantile overflows for theta2={t2}")
     return float(out) if out.ndim == 0 else out
 
 
 def sample(p: ApdParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` i.i.d. variates.
 
-    Exact two-stage scheme: pick the left side with probability ``theta1``,
-    then map a Gamma(1/theta2) variate ``T`` through
-    ``|Y| = (2 A T / delta)^(1/theta2)`` for the chosen side's coefficient
-    ``A``.  This inverts the same substitution that underlies :func:`cdf`,
-    and is validated against it by Kolmogorov-Smirnov tests.
+    Exact scheme ``Y = c G^(1/theta2) (V - theta1)`` with
+    ``G ~ Gamma(1 + 1/theta2)`` from numpy's ``Generator.standard_gamma``,
+    ``V ~ U(0, 1)`` and ``c = (2/delta)^(1/theta2)``.  It inverts the
+    substitution behind :func:`cdf`: the left side has probability
+    ``theta1`` (``V < theta1``), and ``|Y| = (2 A T / delta)^(1/theta2)``
+    for the side's coefficient ``A`` and ``T ~ Gamma(1/theta2)``, drawn by
+    the exact boost ``T = G U^theta2`` with ``U`` the uniform ``V`` rescaled
+    to (0, 1) on its side.  Validated against :func:`cdf` by
+    Kolmogorov-Smirnov tests.  Raises :class:`DomainError` when a draw
+    overflows (tiny ``theta2``).
     """
     n = int(n)
     if n < 0:
@@ -206,12 +237,14 @@ def sample(p: ApdParams, n: int, rng: np.random.Generator) -> np.ndarray:
     if n == 0:
         return np.empty(0)
     t1, t2 = p.theta1, p.theta2
-    delta = delta_coeff(t1, t2)
-    left = rng.random(n) < t1
-    t = gamma_sample(1.0 / t2, rng, size=n)
-    mag = (2.0 * t / delta) ** (1.0 / t2)
-    y = np.where(left, -t1 * mag, (1.0 - t1) * mag)
-    return p.mu + p.sigma * y
+    c = np.exp((_LOG2 - _log_delta(t1, t2)) / t2)  # inf is caught below
+    y = gamma_sample(1.0 + 1.0 / t2, rng, size=n) ** (1.0 / t2)
+    y *= rng.random(n) - t1
+    y *= p.sigma * c
+    y += p.mu
+    if not np.isfinite(y).all():
+        raise DomainError(f"draws overflow for theta2={t2}")
+    return y
 
 
 def from_sepd(sp: SepdParams) -> ApdParams:
@@ -222,6 +255,5 @@ def from_sepd(sp: SepdParams) -> ApdParams:
     """
     theta1 = 1.0 / (1.0 + sp.gamma**2)
     theta2 = sp.q
-    delta = delta_coeff(theta1, theta2)
-    sigma = delta ** (1.0 / theta2) * (sp.gamma + 1.0 / sp.gamma) * sp.s
+    sigma = _root_delta(theta1, theta2) * (sp.gamma + 1.0 / sp.gamma) * sp.s
     return ApdParams(theta1=theta1, theta2=theta2, mu=sp.m, sigma=sigma)

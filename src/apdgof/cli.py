@@ -4,7 +4,9 @@ Subcommands: ``test`` (run the goodness-of-fit test on a data file),
 ``simulate`` (Monte Carlo size/power studies), ``tables`` (closed-form
 covariance entries over a grid of tail exponents) and ``sample`` (write
 reproducible APD variates).  Exit codes: 0 success, 2 input error,
-3 degenerate data, 64 usage error.
+3 degenerate data, 4 numerical failure (a quantity is not representable or
+a routine missed its accuracy target), 64 usage error (including an invalid
+study configuration).
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import sys
 import numpy as np
 
 from . import apd
-from .errors import ConfigError, DegenerateSampleError, DomainError
+from .errors import ApdGofError, ConfigError, DegenerateSampleError, DomainError
 from .score import LocationScale, fisher_blocks, run_test, score_covariance
 from .simulate import StudyConfig, run_local_alternative_study, run_null_study
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
+EXIT_NUMERIC = 4
 EXIT_USAGE = 64
 
 _SCHEMA_VERSION = "1"
@@ -146,21 +149,20 @@ def _cmd_simulate(args) -> int:
         _check(args.delta is None, "--delta is only valid for simulate power")
     _check(args.sigma > 0.0, "--sigma must be positive")
     try:
-        cfg = StudyConfig(
-            lam=args.lam,
-            n=args.n,
-            reps=args.reps,
-            seed=args.seed,
-            alpha_grid=(args.alpha,),
-            delta=delta,
-            loc_scale=LocationScale(args.mu, args.sigma),
-        )
-        if args.kind == "size":
-            report = run_null_study(cfg, workers=args.workers)
-        else:
-            report = run_local_alternative_study(cfg, workers=args.workers)
-    except (ConfigError, DomainError) as exc:
+        loc_scale = LocationScale(args.mu, args.sigma)
+    except DomainError as exc:
         raise _UsageError(str(exc)) from None
+    cfg = StudyConfig(
+        lam=args.lam,
+        n=args.n,
+        reps=args.reps,
+        seed=args.seed,
+        alpha_grid=(args.alpha,),
+        delta=delta,
+        loc_scale=loc_scale,
+    )
+    run = run_null_study if args.kind == "size" else run_local_alternative_study
+    report = run(cfg, workers=args.workers)
     payload = report.to_dict()
     if args.json:
         _emit_json(_record("simulate", {"kind": args.kind}, payload))
@@ -325,7 +327,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _InputError as exc:
@@ -334,6 +336,9 @@ def main(argv=None) -> int:
     except DegenerateSampleError as exc:
         print(f"error: degenerate sample: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except ApdGofError as exc:  # DomainError, AccuracyError
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def entry() -> None:

@@ -1,10 +1,10 @@
 """Special functions and probability kernels used by the rest of the package.
 
-Gamma-family functions and the chi-square distributions are thin, validated
-wrappers around ``scipy.special``; the noncentral chi-square survival function
-and the gamma-variate sampler are implemented here (Poisson-mixture series and
-Marsaglia-Tsang squeeze/rejection respectively) because their exact algorithms
-are part of this package's contract.
+Gamma-family functions, the chi-square distributions and the gamma-variate
+sampler are thin, validated wrappers around ``scipy.special`` and numpy's
+``Generator.standard_gamma``.  The noncentral chi-square survival function is
+implemented here as a Poisson-mixture series, because its exact tail
+accuracy is part of this package's contract.
 """
 
 from __future__ import annotations
@@ -166,47 +166,18 @@ def gamma_sample(
     rng: np.random.Generator,
     size: int | None = None,
 ) -> float | np.ndarray:
-    """Draw from Gamma(shape, scale=1) via Marsaglia-Tsang squeeze/rejection.
+    """Draw from Gamma(shape, scale=1) with numpy's ``Generator.standard_gamma``.
 
-    Valid for every ``shape > 0``: shapes below one are boosted through the
-    power transform ``Gamma(shape) = Gamma(shape + 1) * U^{1/shape}``.
-    With ``size=None`` a single float is returned, otherwise an array of
-    ``size`` independent draws.
+    Valid for every ``shape > 0``.  With ``size=None`` a single float is
+    returned, otherwise an array of ``size`` independent draws.
     """
     shape = _check_positive(shape, "shape")
-    scalar = size is None
-    n = 1 if scalar else int(size)
+    if size is None:
+        return float(rng.standard_gamma(shape))
+    n = int(size)
     if n < 0:
         raise DomainError(f"size must be nonnegative, got {size}")
-    if n == 0:
-        return np.empty(0)
-
-    boosted = shape < 1.0
-    d = (shape + 1.0 if boosted else shape) - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = n - filled
-        z = rng.standard_normal(m)
-        u = rng.random(m)
-        v = (1.0 + c * z) ** 3
-        valid = v > 0.0
-        zz = z * z
-        accept = valid & (u < 1.0 - 0.0331 * zz * zz)
-        hard = valid & ~accept
-        if np.any(hard):
-            safe_v = np.where(valid, v, 1.0)
-            accept |= hard & (np.log(u) < 0.5 * zz + d * (1.0 - safe_v + np.log(safe_v)))
-        good = v[accept]
-        take = min(good.size, n - filled)
-        out[filled : filled + take] = d * good[:take]
-        filled += take
-
-    if boosted:
-        out *= rng.random(n) ** (1.0 / shape)
-    return float(out[0]) if scalar else out
+    return rng.standard_gamma(shape, n)
 
 
 def integrate(

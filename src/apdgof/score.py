@@ -10,6 +10,7 @@ freedom, and under contiguous alternatives it is noncentral chi-square.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,15 +149,18 @@ def stacked_scores(y, lam: float):
     return np.concatenate([shape_score(y, lam), loc_scale_score(y, lam)])
 
 
-def _as_clean_data(data) -> np.ndarray:
+def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
+    """The data as a flat float array, with its minimum and maximum."""
     x = np.asarray(data, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise DomainError("data must be finite")
     if x.size < 2:
         raise DegenerateSampleError(f"need at least 2 observations, got {x.size}")
-    if x.max() == x.min():
+    # min and max propagate NaN, so both finite means every value is.
+    lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("data must be finite")
+    if hi == lo:
         raise DegenerateSampleError("data has zero spread")
-    return x
+    return x, lo, hi
 
 
 def fit_null_mle(data, lam: float) -> LocationScale:
@@ -175,7 +179,7 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     Scale: ``(mean((lam/2) |x_i - mu|^lam))^(1/lam)``.
     """
     lam = check_lambda(lam)
-    x = _as_clean_data(data)
+    x, lo, hi = _as_clean_data(data)
     if lam == 1.0:
         mu = float(np.median(x))
     elif lam == 2.0:
@@ -189,7 +193,6 @@ def fit_null_mle(data, lam: float) -> LocationScale:
         # and closes the bracket from the far side.  A step that rounds to mu
         # moves one ulp instead.  An overflow of the powers still warns from
         # the scale line below.
-        lo, hi = float(x.min()), float(x.max())
         mu = min(max(float(np.mean(x)), lo), hi)
         dx = hi - lo
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -273,6 +276,17 @@ def fisher_blocks(lam: float) -> FisherBlocks:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _score_cov_diag(lam: float) -> tuple[float, float]:
+    # Cached: every replicate of a study tests at the same lam.
+    beta = 1.0 + 1.0 / lam
+    s11 = 4.0 * (1.0 + lam) - 4.0 * lam / (
+        float(sc.gamma(3.0 - beta)) * float(sc.gamma(beta))
+    )
+    s22 = (beta * float(sc.polygamma(1, beta)) - 1.0) / lam**3
+    return s11, s22
+
+
 def score_covariance(lam: float) -> np.ndarray:
     """Asymptotic covariance of the root-n-scaled modified score (closed form).
 
@@ -280,13 +294,7 @@ def score_covariance(lam: float) -> np.ndarray:
     (beta psi'(beta) - 1) / lam^3)`` with ``beta = 1 + 1/lam``; positive
     definite for every ``lam >= 1``.
     """
-    lam = check_lambda(lam)
-    beta = 1.0 + 1.0 / lam
-    s11 = 4.0 * (1.0 + lam) - 4.0 * lam / (
-        float(sc.gamma(3.0 - beta)) * float(sc.gamma(beta))
-    )
-    s22 = (beta * float(sc.polygamma(1, beta)) - 1.0) / lam**3
-    return np.diag([s11, s22])
+    return np.diag(_score_cov_diag(check_lambda(lam)))
 
 
 def test_statistic(
@@ -307,8 +315,8 @@ def test_statistic(
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     r = np.asarray(score, dtype=float).ravel()
-    cov = score_covariance(lam)
-    t = float(n * (r[0] ** 2 / cov[0, 0] + r[1] ** 2 / cov[1, 1]))
+    s11, s22 = _score_cov_diag(lam)
+    t = float(n * (r[0] ** 2 / s11 + r[1] ** 2 / s22))
     p = chi2_sf(t, 2)
     reject = None if alpha is None else bool(p < alpha)
     return TestReport(
@@ -327,8 +335,8 @@ def noncentrality(delta, lam: float) -> float:
     """Noncentrality ``delta' Sigma delta`` induced by a local shape drift."""
     lam = check_lambda(lam)
     d = np.asarray(delta, dtype=float).ravel()
-    cov = score_covariance(lam)
-    return float(cov[0, 0] * d[0] ** 2 + cov[1, 1] * d[1] ** 2)
+    s11, s22 = _score_cov_diag(lam)
+    return float(s11 * d[0] ** 2 + s22 * d[1] ** 2)
 
 
 def asymptotic_power(delta, lam: float, alpha: float) -> float:
@@ -370,7 +378,7 @@ def run_test_fixed_loc_scale(
     Exposed for Monte Carlo cross-checks.
     """
     lam = check_lambda(lam)
-    x = _as_clean_data(data)
+    x, _, _ = _as_clean_data(data)
     z = (x - loc_scale.mu) / loc_scale.sigma
     r = shape_score(z, lam).mean(axis=1)
     blocks = fisher_blocks(lam)

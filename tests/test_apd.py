@@ -213,6 +213,16 @@ class TestSample:
         stat = stats.kstest(x, lambda v: cdf(v, p)).statistic
         assert stat < 1.63 / math.sqrt(10**5)
 
+    # Boosted gamma shapes 1 + 1/theta2 from 3 down to ~1.02; distinct seeds.
+    @pytest.mark.parametrize("t2", [0.5, 1.0, 2.0067, 3.0, 50.0])
+    @pytest.mark.parametrize("t1", [0.3, 0.5, 0.7])
+    def test_ks_exact_over_shape_grid(self, t1, t2):
+        p = ApdParams(t1, t2, mu=0.5, sigma=1.5)
+        rng = np.random.default_rng(np.random.SeedSequence([int(100 * t1), int(1e4 * t2)]))
+        x = sample(p, 10**5, rng)
+        stat = stats.kstest(x, lambda v: cdf(v, p)).statistic
+        assert stat < 1.63 / math.sqrt(10**5)  # the c06 1% critical value
+
     def test_mass_left_of_mode(self):
         p = ApdParams(0.3, 1.5, 1.0, 2.0)
         rng = np.random.default_rng(271828)
@@ -231,6 +241,55 @@ class TestSample:
         assert sample(STANDARD_NORMAL, 0, rng).size == 0
         with pytest.raises(DomainError):
             sample(STANDARD_NORMAL, -1, rng)
+
+
+class TestLargeTheta2:
+    """theta2 = 1e6, where ``a``, ``b`` and ``delta`` underflow to 0.
+
+    As theta2 grows the law tends to the uniform on
+    ``[mu - sigma theta1 / m, mu + sigma (1 - theta1) / m]`` with
+    ``m = min(theta1, 1 - theta1)``: ``mu +- sigma`` for ``theta1 = 1/2``,
+    ``[mu - sigma, mu + (7/3) sigma]`` for ``theta1 = 0.3`` (density
+    ``0.3 / sigma`` on both sides).  Beyond ``1 + 1e-4`` times either bound
+    the exact density is ``exp(-exp(100) / 2)``, which is 0 in floating point.
+    """
+
+    T2 = 1e6
+    TOL = 1e-4
+
+    @pytest.mark.parametrize("t1, lo, hi", [(0.5, -1.0, 1.0), (0.3, -1.0, 7.0 / 3.0)])
+    def test_draws_lie_on_limit_support(self, t1, lo, hi):
+        p = ApdParams(t1, self.T2, mu=3.0, sigma=2.0)
+        y = (sample(p, 10**4, np.random.default_rng(6)) - 3.0) / 2.0
+        assert np.all(np.isfinite(y))
+        assert lo * (1 + self.TOL) <= y.min() < 0.99 * lo
+        assert 0.99 * hi < y.max() <= hi * (1 + self.TOL)
+        assert abs(np.mean(y < 0) - t1) < 4 * math.sqrt(t1 * (1 - t1) / y.size)
+
+    @pytest.mark.parametrize("t1, hi", [(0.5, 1.0), (0.3, 7.0 / 3.0)])
+    def test_density_and_cdf(self, t1, hi):
+        p = ApdParams(t1, self.T2)
+        assert_allclose(pdf([-0.5, 0.0, 0.5 * hi], p), t1, rtol=1e-5)
+        assert pdf(hi * (1 + self.TOL), p) == 0.0
+        assert cdf(0.0, p) == t1
+        assert_allclose(cdf([-0.5, 0.5 * hi], p), [0.5 * t1, 0.5 * (1 + t1)], rtol=1e-5)
+
+    @pytest.mark.parametrize("t1", [0.3, 0.5])
+    def test_quantile_round_trip(self, t1):
+        # The Gamma(1e-6) quantile underflows for every u here.
+        p = ApdParams(t1, self.T2, mu=3.0, sigma=2.0)
+        u = np.array([1e-6, 0.05, 0.2, t1, 0.6, 0.95, 1.0 - 1e-6])
+        assert_allclose(cdf(quantile(u, p), p), u, rtol=1e-9, atol=0)
+        assert quantile(t1, p) == 3.0
+
+    def test_unrepresentable_quantities_raise_domain_error(self):
+        with pytest.raises(DomainError):
+            delta_coeff(0.5, self.T2)  # 2**-1e6
+        tiny = ApdParams(0.5, 1e-3)
+        with pytest.raises(DomainError), np.errstate(over="ignore"):
+            sample(tiny, 100, np.random.default_rng(0))  # G^1000
+        with pytest.raises(DomainError):
+            quantile(0.9, tiny)
 
 
 class TestSepdEquivalence:

@@ -1,18 +1,32 @@
 """End-to-end tests of the command-line interface.
 
 Each case drives ``main(argv)`` in-process and checks stdout/stderr and the
-exit code.  Exit codes: 0 success, 2 input error, 3 degenerate data,
-64 usage error.
+exit code; the error-mapping cases also run the module as a program, so a
+traceback would show on its stderr.  Exit codes: 0 success, 2 input error,
+3 degenerate data, 4 numerical failure, 64 usage error.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from apdgof.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from apdgof.cli import (
+    EXIT_DEGENERATE,
+    EXIT_INPUT,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -306,3 +320,53 @@ class TestUsageBasics:
 
     def test_missing_required_flag(self, capsys):
         assert run_cli(capsys, "test", "--lambda", "1")[0] == EXIT_USAGE
+
+
+def run_program(*argv):
+    """Run ``python -m apdgof.cli`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "apdgof.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+class TestErrorMapping:
+    """Every package error maps to a documented exit code; no traceback escapes."""
+
+    def test_huge_lambda_study(self):
+        proc = run_program("simulate", "size", "--lambda", "1e6", "--n", "20", "--reps", "100")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode in (EXIT_OK, EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_USAGE)
+
+    def test_huge_theta2_sample(self, tmp_path):
+        out = tmp_path / "draws.txt"
+        proc = run_program(
+            "sample", "--theta1", "0.5", "--theta2", "1e6", "--n", "1000",
+            "--seed", "3", "--output", str(out),
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_OK
+        values = np.loadtxt(out)
+        assert np.all(np.abs(values) <= 1.0 + 1e-4)
+
+    def test_unrepresentable_sample_is_numerical_failure(self, capsys, tmp_path):
+        with np.errstate(over="ignore"):
+            code, _, err = run_cli(
+                capsys, "sample", "--theta1", "0.5", "--theta2", "1e-3",
+                "--n", "10", "--output", str(tmp_path / "x.txt"),
+            )
+        assert code == EXIT_NUMERIC
+        assert "numerical failure" in err
+
+    def test_study_leaving_parameter_space_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "power", "--lambda", "2", "--n", "16",
+            "--reps", "100", "--delta", "4,0",
+        )
+        assert code == EXIT_USAGE
+        assert "parameter space" in err

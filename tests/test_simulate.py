@@ -8,8 +8,10 @@ from numpy.testing import assert_allclose
 
 from apdgof import apd
 from apdgof.errors import ConfigError
+from apdgof.numerics import noncentral_chi2_sf
 from apdgof.score import LocationScale, fisher_blocks
 from apdgof.simulate import (
+    _chi2_2_cdf,
     StudyConfig,
     ks_distance,
     mc_fisher_check,
@@ -84,6 +86,17 @@ class TestKsDistance:
     def test_empty(self):
         with pytest.raises(ConfigError):
             ks_distance([], lambda x: x)
+
+
+class TestChi2TwoCdf:
+    """The reference CDF of both KS steps, against the Poisson-series oracle."""
+
+    X = np.linspace(0.0, 60.0, 241)
+
+    @pytest.mark.parametrize("ncp", [0.0, 0.3, 4.0, 40.0])
+    def test_against_series(self, ncp):
+        ref = np.array([1.0 - noncentral_chi2_sf(x, 2, ncp) for x in self.X])
+        assert np.max(np.abs(_chi2_2_cdf(self.X, ncp) - ref)) <= 1e-11
 
 
 class TestNullStudy:
