@@ -62,32 +62,52 @@ class _Parser(argparse.ArgumentParser):
 def read_values(path: str) -> np.ndarray:
     """Parse a single-column text file of decimals.
 
-    Blank lines and lines starting with ``#`` are skipped; CRLF endings are
-    tolerated.  Every remaining line must hold exactly one finite decimal,
-    and at least two values are required.
+    The file must be UTF-8 text; an undecodable file is an input error.
+    Blank lines and whole-line ``#`` comments are skipped, and any line
+    break ``str.splitlines`` knows ends a line (CRLF included).  Every
+    remaining line, stripped of surrounding whitespace, must hold exactly one
+    finite value in a spelling Python's ``float()`` accepts (``1_000`` and
+    ``-1e-3`` among them); an inline comment such as ``1 # note`` is an
+    input error.  At least two values are required.  The first bad line in
+    file order is reported with its line number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
-    values = []
+    except UnicodeDecodeError as exc:
+        raise _InputError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    # float() rejects inner whitespace, so a token that converts is a single value.
+    tokens = [t for t in map(str.strip, lines) if t and t[0] != "#"]
+    try:
+        values = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise _first_bad_line(path, lines)
+    if len(values) < 2:
+        raise _InputError(f"{path}: need at least 2 values, found {len(values)}")
+    return values
+
+
+def _first_bad_line(path: str, lines: list[str]) -> _InputError:
+    """The error for the first line of ``read_values`` input that breaks its rules."""
     for lineno, raw in enumerate(lines, start=1):
         token = raw.strip()
         if not token or token.startswith("#"):
             continue
         if any(ch.isspace() for ch in token):
-            raise _InputError(f"{path}:{lineno}: expected one value per line")
+            return _InputError(f"{path}:{lineno}: expected one value per line")
         try:
             v = float(token)
         except ValueError:
-            raise _InputError(f"{path}:{lineno}: not a decimal: {token!r}") from None
+            return _InputError(f"{path}:{lineno}: not a decimal: {token!r}")
         if not math.isfinite(v):
-            raise _InputError(f"{path}:{lineno}: value is not finite: {token!r}")
-        values.append(v)
-    if len(values) < 2:
-        raise _InputError(f"{path}: need at least 2 values, found {len(values)}")
-    return np.array(values)
+            return _InputError(f"{path}:{lineno}: value is not finite: {token!r}")
+    raise AssertionError(f"{path}: the whole-file parse failed on no line")
 
 
 def _record(command: str, inputs: dict, results: dict) -> dict:
@@ -244,8 +264,7 @@ def _cmd_sample(args) -> int:
     values = apd.sample(params, args.n, rng)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            for v in values:
-                fh.write(f"{v:.17g}\n")
+            fh.write("".join(f"{v:.17g}\n" for v in values.tolist()))
     except OSError as exc:
         raise _InputError(f"cannot write {args.output}: {exc}") from None
     results = {"n": args.n, "seed": args.seed, "output": args.output}

@@ -4,6 +4,10 @@ Each case drives ``main(argv)`` in-process and checks stdout/stderr and the
 exit code; the error-mapping cases also run the module as a program, so a
 traceback would show on its stderr.  Exit codes: 0 success, 2 input error,
 3 degenerate data, 4 numerical failure, 64 usage error.
+
+``reference_read_values`` is the earlier line-by-line parser of ``apdgof
+test`` input, kept as the oracle of ``read_values``: on every input both must
+return bit-equal arrays or raise the same message.
 """
 
 import json
@@ -15,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from apdgof.cli import (
@@ -23,7 +28,9 @@ from apdgof.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _InputError,
     main,
+    read_values,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -276,6 +283,8 @@ class TestSampleCommand:
         expected = apd.sample(apd.ApdParams(0.5, 2.0), 100, rng)
         parsed = np.array([float(line) for line in out.read_text().splitlines()])
         assert np.array_equal(parsed, expected)
+        assert out.read_bytes() == b"".join(f"{v:.17g}\n".encode() for v in expected)
+        assert read_values(str(out)).tobytes() == expected.tobytes()
 
     def test_self_consistency_with_test(self, capsys, tmp_path):
         out = tmp_path / "draws.txt"
@@ -309,6 +318,128 @@ class TestSampleCommand:
             "--n", "5", "--output", str(tmp_path / "missing" / "x.txt"),
         )
         assert code == EXIT_INPUT
+
+
+def reference_read_values(path: str) -> np.ndarray:
+    """The line-by-line parser ``read_values`` replaced: the oracle of its rules."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from None
+    values = []
+    for lineno, raw in enumerate(lines, start=1):
+        token = raw.strip()
+        if not token or token.startswith("#"):
+            continue
+        if any(ch.isspace() for ch in token):
+            raise _InputError(f"{path}:{lineno}: expected one value per line")
+        try:
+            v = float(token)
+        except ValueError:
+            raise _InputError(f"{path}:{lineno}: not a decimal: {token!r}") from None
+        if not math.isfinite(v):
+            raise _InputError(f"{path}:{lineno}: value is not finite: {token!r}")
+        values.append(v)
+    if len(values) < 2:
+        raise _InputError(f"{path}: need at least 2 values, found {len(values)}")
+    return np.array(values)
+
+
+def _outcome(parse, path):
+    try:
+        return "values", parse(path)
+    except _InputError as exc:
+        return "error", str(exc)
+
+
+def assert_parses_like_reference(path: Path, content: bytes):
+    """Write ``content`` to ``path``; both parsers must agree bit for bit, or in message."""
+    path.write_bytes(content)
+    kind, got = _outcome(read_values, str(path))
+    ref_kind, want = _outcome(reference_read_values, str(path))
+    assert kind == ref_kind, (got, want)
+    if kind == "values":
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+    return kind, got
+
+
+INPUT_CORPUS = {
+    "crlf": (b"1\r\n2\r\n3\r\n", [1.0, 2.0, 3.0]),
+    "lone-cr": (b"1\r2\r3", [1.0, 2.0, 3.0]),
+    "form-feed": (b"1\f2\f3\n", [1.0, 2.0, 3.0]),
+    "next-line": ("1\x852\x853".encode(), [1.0, 2.0, 3.0]),
+    "line-separator": ("1\u20282\u20283".encode(), [1.0, 2.0, 3.0]),
+    "no-final-newline": (b"1\n2", [1.0, 2.0]),
+    "indented-comment": (b"  # c\n1\n2\n", [1.0, 2.0]),
+    "inline-comment": (b"1 # c\n2\n", ":1: expected one value per line"),
+    "underscores": (b"1_000\n2\n", [1000.0, 2.0]),
+    "padded-tiny": (b" +1e-300 \n2\n", [1e-300, 2.0]),
+    "negative-zero": (b"-0.0\n0.0\n1\n", [-0.0, 0.0, 1.0]),
+    "unicode-digits": ("\u0661\u0662\n3\n".encode(), [12.0, 3.0]),
+    "byte-order-mark": ("\ufeff1\n2\n".encode(), ":1: not a decimal: '\\ufeff1'"),
+    "overflow": (b"1\n1e999\n", ":2: value is not finite: '1e999'"),
+    "nan": (b"1\nnan\n2\n", ":2: value is not finite: 'nan'"),
+    "minus-inf": (b"-inf\n1\n2\n", ":1: value is not finite: '-inf'"),
+    "two-per-line": (b"1 2\n3\n", ":1: expected one value per line"),
+    "inner-tab": (b"1\n2\t3\n", ":2: expected one value per line"),
+    "inner-nbsp": ("1\n2\u00a03\n".encode(), ":2: expected one value per line"),
+    "empty": (b"", ": need at least 2 values, found 0"),
+    "whitespace-only": (b"  \n\t\n \r\n", ": need at least 2 values, found 0"),
+    "single-value": (b"1.5\n", ": need at least 2 values, found 1"),
+    "bad-text-first": (b"1\nabc\n3 4\ninf\n", ":2: not a decimal: 'abc'"),
+    "bad-pair-first": (b"1\n3 4\nabc\ninf\n", ":2: expected one value per line"),
+    "bad-inf-first": (b"# h\n\n1\ninf\nabc\n3 4\n", ":4: value is not finite: 'inf'"),
+}
+
+
+class TestReadValues:
+    """``read_values`` against the line-by-line oracle on a corpus and on random files."""
+
+    @pytest.mark.parametrize("case", sorted(INPUT_CORPUS))
+    def test_corpus_matches_reference(self, tmp_path, case):
+        content, expected = INPUT_CORPUS[case]
+        path = tmp_path / "input.txt"
+        kind, got = assert_parses_like_reference(path, content)
+        if isinstance(expected, str):
+            assert kind == "error"
+            assert got == f"{path}{expected}"
+        else:
+            assert kind == "values"
+            assert got.tobytes() == np.array(expected).tobytes()
+
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False).flatmap(
+                    lambda v: st.sampled_from([repr(v), f"{v:.17g}", f"{v:.3e}", f" {v!r}\t"])
+                ),
+                st.sampled_from(["", " ", "\t", "  \t "]),
+                st.text(max_size=12).map(lambda t: "#" + t),
+                st.text(max_size=12).map(lambda t: "  # " + t),
+            ),
+            max_size=40,
+        ),
+        bad=st.lists(
+            st.tuples(
+                st.integers(0, 40),
+                st.sampled_from(["abc", "1 2", "nan", "inf", "-1e999", "1 # c", "0x1p3"]),
+            ),
+            max_size=2,
+        ),
+        sep=st.sampled_from(["\n", "\r\n", "\r"]),
+        final_sep=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_files_match_reference(self, tmp_path_factory, lines, bad, sep, final_sep):
+        for pos, line in bad:
+            lines.insert(min(pos, len(lines)), line)
+        text = sep.join(lines) + (sep if final_sep and lines else "")
+        path = tmp_path_factory.mktemp("random") / "input.txt"
+        assert_parses_like_reference(path, text.encode())
 
 
 class TestUsageBasics:
@@ -362,6 +493,18 @@ class TestErrorMapping:
             )
         assert code == EXIT_NUMERIC
         assert "numerical failure" in err
+
+    def test_undecodable_input_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1\n\xff\n2\n")
+        code, out, err = run_cli(capsys, "test", "--input", str(path), "--lambda", "1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert str(path) in err and "not UTF-8" in err
+        proc = run_program("test", "--input", str(path), "--lambda", "1")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_INPUT
+        assert str(path) in proc.stderr
 
     def test_study_leaving_parameter_space_is_usage_error(self, capsys):
         code, _, err = run_cli(
