@@ -47,9 +47,14 @@ def test_quantile_inverts_cdf(theta1, theta2, u):
 def test_log_pdf_location_scale_identity(theta1, theta2, y, mu, sigma):
     standard = ApdParams(theta1, theta2)
     shifted = ApdParams(theta1, theta2, mu=mu, sigma=sigma)
+    x = mu + sigma * y
+    # The rounded x standardises to (x - mu) / sigma, which can be y plus an
+    # ulp; the exponent term is ~2000 at theta2 = 6, |y| = 4, where that ulp
+    # moves the exact log density by ~1e-11.  Compare at the point x is.
+    y_at_x = (x - mu) / sigma
     assert_allclose(
-        log_pdf(mu + sigma * y, shifted),
-        log_pdf(y, standard) - math.log(sigma),
+        log_pdf(x, shifted),
+        log_pdf(y_at_x, standard) - math.log(sigma),
         rtol=0,
         atol=1e-11,
     )
