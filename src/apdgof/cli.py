@@ -21,15 +21,13 @@ import numpy as np
 from . import apd
 from .errors import ApdGofError, ConfigError, DegenerateSampleError, DomainError
 from .score import LocationScale, fisher_blocks, run_test, score_covariance
-from .simulate import StudyConfig, run_local_alternative_study, run_null_study
+from .simulate import _SCHEMA_VERSION, StudyConfig, run_local_alternative_study, run_null_study
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 EXIT_USAGE = 64
-
-_SCHEMA_VERSION = "1"
 
 _TABLE_COLUMNS = (
     "lambda",

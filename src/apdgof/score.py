@@ -106,10 +106,6 @@ def check_lambda(lam: float) -> float:
     return lam
 
 
-def _nu(lam: float) -> float:
-    return math.log(2.0) + float(sc.digamma(1.0 + 1.0 / lam))
-
-
 def shape_score(y, lam: float):
     """Score components for the shape pair, evaluated at the symmetric null.
 
@@ -163,23 +159,23 @@ def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
     return x, lo, hi
 
 
-def fit_null_mle(data, lam: float) -> LocationScale:
-    """Maximum likelihood location and scale under the null.
+def _residuals(x: np.ndarray, mu: float, lam: float):
+    """``d = x - mu``, ``|d|`` and ``|d|^lam``, formed as the location solve forms them."""
+    d = x - mu
+    ad = np.abs(d)
+    if lam == 1.0:
+        return d, ad, ad
+    if lam == 2.0:
+        return d, ad, d * d
+    return d, ad, ad ** (lam - 1.0) * ad
 
-    Location: the median for ``lam = 1`` (midpoint of the two central order
-    statistics for even n), the sample mean for ``lam = 2``, otherwise the
-    unique root of ``s(mu) = sum |x_i - mu|^(lam-1) sign(x_i - mu) = 0``
-    (continuous and decreasing in mu for lam > 1).  The root is kept in a
-    bracket that starts as ``[min x, max x]`` and shrinks by the sign of
-    ``s``.  Each pass takes the Newton step ``s / s'``, with
-    ``s' = (lam-1) sum |x_i - mu|^(lam-2)``, doubled when it is not under
-    half the previous step, if it lands strictly inside the bracket, and
-    bisects otherwise.  The solve stops when ``s == 0`` or when the bracket
-    has closed to adjacent doubles.
-    Scale: ``(mean((lam/2) |x_i - mu|^lam))^(1/lam)``.
+
+def _fit_residuals(x: np.ndarray, lo: float, hi: float, lam: float):
+    """Null MLE on ``x`` (extremes ``lo``, ``hi``), with ``d = x - mu``, |d| and |d|^lam.
+
+    Off ``lam`` in {1, 2} the arrays are those of the solve's last pass.
     """
-    lam = check_lambda(lam)
-    x, lo, hi = _as_clean_data(data)
+    p = None
     if lam == 1.0:
         mu = float(np.median(x))
     elif lam == 2.0:
@@ -191,8 +187,7 @@ def fit_null_mle(data, lam: float) -> LocationScale:
         # not under half the previous one means Newton cycles or walks the
         # rounding noise of s near the root: doubled, it lands past the root
         # and closes the bracket from the far side.  A step that rounds to mu
-        # moves one ulp instead.  An overflow of the powers still warns from
-        # the scale line below.
+        # moves one ulp instead.  Every break leaves the pass's arrays at mu.
         mu = min(max(float(np.mean(x)), lo), hi)
         dx = hi - lo
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -219,10 +214,53 @@ def fit_null_mle(data, lam: float) -> LocationScale:
                 if step == lo or step == hi:
                     break
                 dx, mu = step - mu, step
-    sigma = float(np.mean(0.5 * lam * np.abs(x - mu) ** lam)) ** (1.0 / lam)
+            else:
+                p = None  # out of passes: the last p belongs to the previous mu
+    if p is None:
+        d, ad, adl = _residuals(x, mu, lam)
+    else:
+        adl = p * ad
+    sigma = (0.5 * lam * float(adl.sum()) / x.size) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")
-    return LocationScale(mu=mu, sigma=sigma)
+    return LocationScale(mu=mu, sigma=sigma), d, ad, adl
+
+
+def fit_null_mle(data, lam: float) -> LocationScale:
+    """Maximum likelihood location and scale under the null.
+
+    Location: the median for ``lam = 1`` (midpoint of the two central order
+    statistics for even n), the sample mean for ``lam = 2``, otherwise the
+    unique root of ``s(mu) = sum |x_i - mu|^(lam-1) sign(x_i - mu) = 0``
+    (continuous and decreasing in mu for lam > 1).  The root is kept in a
+    bracket that starts as ``[min x, max x]`` and shrinks by the sign of
+    ``s``.  Each pass takes the Newton step ``s / s'``, with
+    ``s' = (lam-1) sum |x_i - mu|^(lam-2)``, doubled when it is not under
+    half the previous step, if it lands strictly inside the bracket, and
+    bisects otherwise.  The solve stops when ``s == 0`` or when the bracket
+    has closed to adjacent doubles.
+    Scale: ``((lam/2) mean(|x_i - mu|^lam))^(1/lam)``; off lam in {1, 2}
+    the powers are the solve's last ``|x_i - mu|^(lam-1)`` times
+    ``|x_i - mu|``, and :func:`run_test` scores from those same arrays.
+    """
+    lam = check_lambda(lam)
+    return _fit_residuals(*_as_clean_data(data), lam)[0]
+
+
+def _mean_shape_score(d, ad, adl, sigma: float, lam: float) -> np.ndarray:
+    """Mean of :func:`shape_score` over ``y = d / sigma``, given ``|d|`` and ``|d|^lam``.
+
+    Where ``d == 0`` the weight ``|y|^lam`` is 0; lifting ``|y|`` there to the
+    least positive double keeps ``|y|^lam log|y|`` at its limit 0.  For a huge
+    ``sigma``, ``sigma^-lam`` underflows to 0 as ``|y|^lam`` would, where
+    ``sigma^lam`` would overflow.
+    """
+    w = adl * np.power(sigma, -lam)
+    wlog = np.log(np.maximum(ad / sigma, math.ulp(0.0)))
+    wlog *= w
+    r1 = -lam * float(np.copysign(w, d).sum()) / d.size
+    r2 = -0.5 * (float(wlog.sum()) / d.size - 2.0 / lam**2 * _nu(lam))
+    return np.array([r1, r2])
 
 
 def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
@@ -230,14 +268,15 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
 
     ``fit`` should come from :func:`fit_null_mle` on the same data; the
     result is finite even when the fitted location coincides with a data
-    point (the ``y = 0`` conventions of :func:`shape_score`).
+    point (the ``y = 0`` conventions of :func:`shape_score`).  The residual
+    powers are formed as the location solve forms them, and :func:`run_test`
+    averages its fit's own residuals with the same code.
     """
     lam = check_lambda(lam)
     x = np.asarray(data, dtype=float).ravel()
     if not fit.sigma > 0.0:
         raise DegenerateSampleError("sigma must be positive")
-    z = (x - fit.mu) / fit.sigma
-    return shape_score(z, lam).mean(axis=1)
+    return _mean_shape_score(*_residuals(x, fit.mu, lam), fit.sigma, lam)
 
 
 def fisher_blocks(lam: float) -> FisherBlocks:
@@ -276,9 +315,14 @@ def fisher_blocks(lam: float) -> FisherBlocks:
     )
 
 
+# Cached: every replicate of a study scores and tests at the same lam.
+@functools.lru_cache(maxsize=256)
+def _nu(lam: float) -> float:
+    return math.log(2.0) + float(sc.digamma(1.0 + 1.0 / lam))
+
+
 @functools.lru_cache(maxsize=256)
 def _score_cov_diag(lam: float) -> tuple[float, float]:
-    # Cached: every replicate of a study tests at the same lam.
     beta = 1.0 + 1.0 / lam
     s11 = 4.0 * (1.0 + lam) - 4.0 * lam / (
         float(sc.gamma(3.0 - beta)) * float(sc.gamma(beta))
@@ -297,6 +341,13 @@ def score_covariance(lam: float) -> np.ndarray:
     return np.diag(_score_cov_diag(check_lambda(lam)))
 
 
+def _check_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
+
+
 def test_statistic(
     score: np.ndarray,
     n: int,
@@ -308,9 +359,12 @@ def test_statistic(
 
     ``T = n (r1^2 / S11 + r2^2 / S22)`` with the diagonal covariance from
     :func:`score_covariance`; the p-value is the chi-square(2) survival
-    function at ``T``.
+    function at ``T``; with ``alpha`` in (0, 1), the report says whether
+    ``p < alpha``.
     """
     lam = check_lambda(lam)
+    if alpha is not None:
+        alpha = _check_alpha(alpha)
     n = int(n)
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -346,23 +400,23 @@ def asymptotic_power(delta, lam: float, alpha: float) -> float:
     with noncentrality :func:`noncentrality`; equals ``alpha`` at
     ``delta = 0``.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    crit = chi2_quantile(1.0 - alpha, 2)
+    crit = chi2_quantile(1.0 - _check_alpha(alpha), 2)
     return noncentral_chi2_sf(crit, 2, noncentrality(delta, lam))
 
 
 def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:
     """Fit the null location/scale, then test the shape pair.
 
-    Rejects when the p-value falls below ``alpha``.  The statistic is
-    invariant under positive affine transformations of the data.
+    Rejects when the p-value falls below ``alpha`` in (0, 1).  The score is
+    :func:`modified_score`, taken from the residuals the location solve left
+    at the fit.  The statistic is invariant under positive affine
+    transformations of the data.
     """
-    fit = fit_null_mle(data, lam)
-    r = modified_score(data, lam, fit)
-    n = np.asarray(data, dtype=float).size
-    return test_statistic(r, n, lam, alpha=alpha, fit=fit)
+    lam = check_lambda(lam)
+    x, lo, hi = _as_clean_data(data)
+    fit, d, ad, adl = _fit_residuals(x, lo, hi, lam)
+    r = _mean_shape_score(d, ad, adl, fit.sigma, lam)
+    return test_statistic(r, x.size, lam, alpha=alpha, fit=fit)
 
 
 def run_test_fixed_loc_scale(
@@ -378,9 +432,9 @@ def run_test_fixed_loc_scale(
     Exposed for Monte Carlo cross-checks.
     """
     lam = check_lambda(lam)
+    alpha = _check_alpha(alpha)
     x, _, _ = _as_clean_data(data)
-    z = (x - loc_scale.mu) / loc_scale.sigma
-    r = shape_score(z, lam).mean(axis=1)
+    r = modified_score(x, lam, loc_scale)
     blocks = fisher_blocks(lam)
     j = blocks.shape_block
     t = float(x.size * (r[0] ** 2 / j[0, 0] + r[1] ** 2 / j[1, 1]))

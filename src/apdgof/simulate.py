@@ -27,10 +27,9 @@ from .score import (
     check_lambda,
     fisher_blocks,
     fit_null_mle,
-    modified_score,
     noncentrality,
+    run_test,
     stacked_scores,
-    test_statistic,
 )
 
 __all__ = [
@@ -215,9 +214,7 @@ def _replicate_block(args) -> list[tuple[int, float, float]]:
         rng = replicate_rng(seed, r)
         data = apd.sample(params, n, rng)
         try:
-            fit = fit_null_mle(data, lam)
-            score = modified_score(data, lam, fit)
-            report = test_statistic(score, n, lam)
+            report = run_test(data, lam)
         except DegenerateSampleError:
             rows.append((r, math.nan, math.nan))
             continue

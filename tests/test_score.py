@@ -4,7 +4,9 @@ The closed-form score components are validated against central finite
 differences of the log density; the root-solved MLE against a dense grid
 scan of its estimating equation and against a plain bisection oracle; the
 covariance entries against the quadrature and Monte Carlo cross-checks
-exercised in the simulation tests.
+exercised in the simulation tests.  The test, which scores from the
+residuals its fit leaves behind, is compared with the three-step pipeline
+(fit with its own scale line, elementwise shape score, statistic).
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from apdgof import apd
+from apdgof import apd, simulate
 from apdgof.errors import DegenerateSampleError, DomainError
 from apdgof import score as score_mod
 from apdgof.score import (
@@ -78,6 +80,60 @@ def assert_matches_bisection(x, lam):
     ref_sigma = float(np.mean(0.5 * lam * np.abs(x - ref) ** lam)) ** (1.0 / lam)
     assert_allclose(fit.sigma, ref_sigma, rtol=1e-14, atol=0)
     return fit
+
+
+def reference_fit(x, lam):
+    """The null fit as a separate step: the same location solve, then the
+    scale from a fresh ``|x - mu|^lam``."""
+    lo, hi = float(x.min()), float(x.max())
+    if lam == 1.0:
+        mu = float(np.median(x))
+    elif lam == 2.0:
+        mu = float(np.mean(x))
+    else:
+        mu = min(max(float(np.mean(x)), lo), hi)
+        dx = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(score_mod._ROOT_MAX_ITER):
+                d = x - mu
+                ad = np.abs(d)
+                p = ad ** (lam - 1.0)
+                s = float(np.copysign(p, d).sum())
+                if s > 0.0:
+                    lo = mu
+                elif s < 0.0:
+                    hi = mu
+                else:
+                    break
+                ds = (lam - 1.0) * float((p / ad).sum())
+                h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
+                if 2.0 * abs(h) > abs(dx):
+                    h *= 2.0
+                step = mu + h
+                if step == mu:
+                    step = math.nextafter(mu, hi if s > 0.0 else lo)
+                elif not lo < step < hi:
+                    step = 0.5 * (lo + hi)
+                if step == lo or step == hi:
+                    break
+                dx, mu = step - mu, step
+    return LocationScale(mu, reference_sigma(x, lam, mu))
+
+
+def reference_sigma(x, lam, mu):
+    return float(np.mean(0.5 * lam * np.abs(x - mu) ** lam)) ** (1.0 / lam)
+
+
+def reference_test(x, lam, fit):
+    """Elementwise shape score at ``(x - mu) / sigma``, averaged, then the statistic."""
+    r = shape_score((x - fit.mu) / fit.sigma, lam).mean(axis=1)
+    return score_mod.test_statistic(r, x.size, lam, fit=fit)
+
+
+def assert_close_report(rep, ref):
+    """Score vector and T to 1e-12, relative with an absolute floor of 1e-12."""
+    assert_allclose(rep.score, ref.score, rtol=1e-12, atol=1e-12)
+    assert_allclose(rep.t_stat, ref.t_stat, rtol=1e-12, atol=1e-12)
 
 
 class TestShapeScore:
@@ -263,6 +319,64 @@ class TestFitNullMle:
             fit_null_mle([1.0, 2.0], 0.7)
 
 
+class TestFitResidualsOracle:
+    """``run_test`` scores from the residuals its fit leaves; the reference
+    forms them again in each of three separate steps."""
+
+    @pytest.mark.parametrize("n", [2, 7, 2000])
+    @pytest.mark.parametrize("loc,scale", [(0.0, 1.0), (1000.0, 50.0), (0.0, 1e-3)])
+    @pytest.mark.parametrize("lam", [1.0, 1.001, 1.5, 2.0, 2.5, 3.0, 4.5, 20.0])
+    def test_matches_three_step_pipeline(self, lam, loc, scale, n):
+        rng = np.random.default_rng([n, round(1000 * lam), 5])
+        x = apd.sample(apd.ApdParams(0.5, lam, loc, scale), n, rng)
+        ref_fit = reference_fit(x, lam)
+        ref = reference_test(x, lam, ref_fit)
+        rep = run_test(x, lam)
+        assert rep.loc_scale.mu == ref_fit.mu
+        assert_allclose(rep.loc_scale.sigma, ref_fit.sigma, rtol=1e-14, atol=0)
+        assert_close_report(rep, ref)
+        assert fit_null_mle(x, lam) == rep.loc_scale
+        assert_allclose(
+            modified_score(x, lam, rep.loc_scale), rep.score, rtol=1e-14, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    def test_solve_out_of_passes_scores_at_its_last_mu(self, monkeypatch, passes):
+        # the last pass evaluated the mu before the final step, so the
+        # residuals are formed again at the final mu
+        x = apd.sample(apd.ApdParams(0.5, 3.0), 50, np.random.default_rng(8))
+        converged = fit_null_mle(x, 3.0).mu
+        monkeypatch.setattr(score_mod, "_ROOT_MAX_ITER", passes)
+        rep = run_test(x, 3.0)
+        assert rep.loc_scale.mu != converged
+        fit = LocationScale(rep.loc_scale.mu, reference_sigma(x, 3.0, rep.loc_scale.mu))
+        assert_allclose(rep.loc_scale.sigma, fit.sigma, rtol=1e-14, atol=0)
+        assert_close_report(rep, reference_test(x, 3.0, fit))
+
+    @pytest.mark.parametrize(
+        "lam,data",
+        [
+            (1.0, [-1.0, 0.0, 1.0]),
+            (1.0, apd.sample(apd.ApdParams(0.5, 1.0), 101, np.random.default_rng(97))),
+            (2.0, [-1.0, 0.0, 1.0]),
+            (3.0, [-1.0, 0.0, 1.0]),
+        ],
+    )
+    def test_fitted_location_on_a_data_point(self, monkeypatch, lam, data):
+        # a zero residual has weight 0 and log 0: its term is the limit 0,
+        # without a NaN or a warning, in a test and in a study replicate
+        x = np.array(data)
+        monkeypatch.setattr(apd, "sample", lambda params, n, rng: x.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_test(x, lam)
+            rows = simulate._replicate_block((lam, x.size, 3, 0.5, lam, 0.0, 1.0, [0]))
+        assert np.any(x == rep.loc_scale.mu)
+        assert np.all(np.isfinite(rep.score)) and math.isfinite(rep.p_value)
+        assert rows == [(0, rep.t_stat, rep.p_value)]
+        assert_close_report(rep, reference_test(x, lam, reference_fit(x, lam)))
+
+
 class TestModifiedScore:
     def test_symmetric_data_kills_first_component(self):
         data = [-1.0, 0.0, 1.0]
@@ -381,6 +495,19 @@ class TestTestStatistic:
     def test_small_n(self):
         with pytest.raises(DomainError):
             score_mod.test_statistic(np.zeros(2), 1, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -1.0, math.nan])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(DomainError):
+            score_mod.test_statistic(np.zeros(2), 50, 1.0, alpha=alpha)
+        with pytest.raises(DomainError):
+            run_test([1.0, 2.0, 4.0], 2.0, alpha=alpha)
+        with pytest.raises(DomainError):
+            run_test_fixed_loc_scale([1.0, 2.0, 4.0], 2.0, LocationScale(0, 1), alpha)
+
+    def test_alpha_none_gives_no_decision(self):
+        rep = score_mod.test_statistic(np.zeros(2), 50, 1.0, alpha=None)
+        assert rep.alpha is None and rep.reject is None
 
 
 class TestNoncentralityAndPower:
