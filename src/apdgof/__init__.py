@@ -1,8 +1,12 @@
 """Goodness-of-fit testing of exponential-power nulls against asymmetric
 power alternatives, with closed-form asymptotics and a Monte Carlo harness.
+
+The top level re-exports what the demos and the README use; everything else
+lives in the submodules ``apd``, ``numerics``, ``score``, ``simulate`` and
+``cli``.
 """
 
-from .apd import ApdParams, SepdParams, cdf, from_sepd, log_pdf, pdf, quantile, sample
+from .apd import ApdParams, SepdParams, cdf, from_sepd, pdf, quantile, sample
 from .errors import (
     AccuracyError,
     ApdGofError,
@@ -10,42 +14,17 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
 )
-from .numerics import (
-    QuadratureSpec,
-    chi2_quantile,
-    chi2_sf,
-    digamma,
-    gamma_sample,
-    integrate,
-    log_gamma,
-    noncentral_chi2_sf,
-    reg_lower_inc_gamma,
-    trigamma,
-)
 from .score import (
-    FisherBlocks,
     LocationScale,
-    TestReport,
     asymptotic_power,
     fisher_blocks,
-    fit_null_mle,
-    loc_scale_score,
-    modified_score,
     noncentrality,
     run_test,
-    run_test_fixed_loc_scale,
     score_covariance,
-    shape_score,
-    test_statistic,
 )
 from .simulate import (
-    McFisherCheck,
-    RejectionRate,
     StudyConfig,
-    StudyReport,
-    ks_distance,
     mc_fisher_check,
-    mle_rmse_study,
     quadrature_fisher,
     run_local_alternative_study,
     run_null_study,
@@ -59,47 +38,23 @@ __all__ = [
     "AccuracyError",
     "DegenerateSampleError",
     "ConfigError",
-    "QuadratureSpec",
-    "log_gamma",
-    "digamma",
-    "trigamma",
-    "reg_lower_inc_gamma",
-    "chi2_sf",
-    "chi2_quantile",
-    "noncentral_chi2_sf",
-    "gamma_sample",
-    "integrate",
     "ApdParams",
     "SepdParams",
-    "log_pdf",
     "pdf",
     "cdf",
     "quantile",
     "sample",
     "from_sepd",
     "LocationScale",
-    "FisherBlocks",
-    "TestReport",
-    "shape_score",
-    "loc_scale_score",
-    "fit_null_mle",
-    "modified_score",
     "fisher_blocks",
     "score_covariance",
-    "test_statistic",
     "noncentrality",
     "asymptotic_power",
     "run_test",
-    "run_test_fixed_loc_scale",
     "StudyConfig",
-    "StudyReport",
-    "RejectionRate",
-    "McFisherCheck",
-    "ks_distance",
     "run_null_study",
     "run_local_alternative_study",
     "mc_fisher_check",
     "quadrature_fisher",
-    "mle_rmse_study",
     "__version__",
 ]

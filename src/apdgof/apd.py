@@ -35,8 +35,6 @@ _TINY = 1e-20
 __all__ = [
     "ApdParams",
     "SepdParams",
-    "delta_coeff",
-    "side_coeff",
     "log_pdf",
     "pdf",
     "cdf",
@@ -102,35 +100,6 @@ def _root_delta(theta1: float, theta2: float) -> float:
     # delta^(1/theta2), which lies between min(theta1, 1 - theta1) and 1 for
     # every theta2; each branch exponent is 0.5 (root_delta |y| / base)^theta2.
     return math.exp(_log_delta(theta1, theta2) / theta2)
-
-
-def delta_coeff(theta1: float, theta2: float) -> float:
-    """Common exponent coefficient ``2ab/(a+b)`` of the two density branches.
-
-    Here ``a = theta1^theta2`` and ``b = (1-theta1)^theta2``; the value lies
-    in (0, 2) and collapses to ``2**-theta2`` in the symmetric case.  Raises
-    :class:`DomainError` where it underflows (large ``theta2``); the rest of
-    this module works with its logarithm instead.
-    """
-    delta = math.exp(_log_delta(theta1, theta2))
-    if delta == 0.0:
-        raise DomainError(f"delta underflows for theta2={theta2}")
-    return delta
-
-
-def side_coeff(y_sign: int, theta1: float, theta2: float) -> float:
-    """Branch coefficient ``[1/2 + sign(y) (1/2 - theta1)]^theta2``.
-
-    ``sign(0) := 0``, so the (measure-zero) value at the mode is
-    ``(1/2)^theta2``.
-    """
-    if y_sign < 0:
-        base = theta1
-    elif y_sign > 0:
-        base = 1.0 - theta1
-    else:
-        base = 0.5
-    return base**theta2
 
 
 def _log_norm_const(p: ApdParams) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "noncentrality",
     "asymptotic_power",
     "run_test",
-    "run_test_fixed_loc_scale",
 ]
 
 _ROOT_MAX_ITER = 200
@@ -61,17 +60,16 @@ class FisherBlocks:
     """Asymptotic covariance blocks of the stacked score vector under the null.
 
     Parameter ordering is (theta1, theta2 | mu, sigma); all three blocks are
-    diagonal 2x2 matrices.  ``score_cov`` is the covariance of the
-    root-n-scaled modified score, computed from the blocks as
-    ``shape - cross^2 / loc_scale``.  The scalars ``beta = 1 + 1/lam``,
+    diagonal 2x2 matrices.  The scalars ``beta = 1 + 1/lam``,
     ``nu = log 2 + psi(beta)`` and ``phi = 1 + nu`` recur in the entries.
+    :func:`score_covariance` is their Schur complement
+    ``shape - cross^2 / loc_scale`` in closed form.
     """
 
     lam: float
     shape_block: np.ndarray
     cross_block: np.ndarray
     loc_scale_block: np.ndarray
-    score_cov: np.ndarray
     beta: float
     phi: float
     nu: float
@@ -300,15 +298,11 @@ def fisher_blocks(lam: float) -> FisherBlocks:
     shape_block = np.diag([j_t1t1, j_t2t2])
     cross_block = np.diag([j_t1mu, j_t2sig])
     loc_scale_block = np.diag([j_mumu, j_sigsig])
-    score_cov = np.diag(
-        [j_t1t1 - j_t1mu**2 / j_mumu, j_t2t2 - j_t2sig**2 / j_sigsig]
-    )
     return FisherBlocks(
         lam=lam,
         shape_block=shape_block,
         cross_block=cross_block,
         loc_scale_block=loc_scale_block,
-        score_cov=score_cov,
         beta=beta,
         phi=phi,
         nu=nu,
@@ -365,9 +359,9 @@ def test_statistic(
     lam = check_lambda(lam)
     if alpha is not None:
         alpha = _check_alpha(alpha)
+    if n % 1 != 0 or n < 2:  # n % 1 is NaN for a NaN or infinite n
+        raise DomainError(f"n must be an integer >= 2, got {n}")
     n = int(n)
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
     r = np.asarray(score, dtype=float).ravel()
     s11, s22 = _score_cov_diag(lam)
     t = float(n * (r[0] ** 2 / s11 + r[1] ** 2 / s22))
@@ -417,35 +411,3 @@ def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:
     fit, d, ad, adl = _fit_residuals(x, lo, hi, lam)
     r = _mean_shape_score(d, ad, adl, fit.sigma, lam)
     return test_statistic(r, x.size, lam, alpha=alpha, fit=fit)
-
-
-def run_test_fixed_loc_scale(
-    data,
-    lam: float,
-    loc_scale: LocationScale,
-    alpha: float = 0.05,
-) -> TestReport:
-    """Score test with location and scale known rather than estimated.
-
-    Normalizes by the shape block of :func:`fisher_blocks` instead of the
-    modified-score covariance; asymptotically chi-square(2) under the null.
-    Exposed for Monte Carlo cross-checks.
-    """
-    lam = check_lambda(lam)
-    alpha = _check_alpha(alpha)
-    x, _, _ = _as_clean_data(data)
-    r = modified_score(x, lam, loc_scale)
-    blocks = fisher_blocks(lam)
-    j = blocks.shape_block
-    t = float(x.size * (r[0] ** 2 / j[0, 0] + r[1] ** 2 / j[1, 1]))
-    p = chi2_sf(t, 2)
-    return TestReport(
-        n=x.size,
-        lam=lam,
-        loc_scale=loc_scale,
-        score=r,
-        t_stat=t,
-        p_value=p,
-        alpha=alpha,
-        reject=bool(p < alpha),
-    )

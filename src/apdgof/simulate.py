@@ -71,11 +71,11 @@ class StudyConfig:
             check_lambda(self.lam)
         except Exception as exc:
             raise ConfigError(str(exc)) from None
-        if int(self.n) != self.n or self.n < 10:
+        if self.n % 1 != 0 or self.n < 10:
             raise ConfigError(f"n must be an integer >= 10, got {self.n}")
-        if int(self.reps) != self.reps or self.reps < 100:
+        if self.reps % 1 != 0 or self.reps < 100:
             raise ConfigError(f"reps must be an integer >= 100, got {self.reps}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        if self.seed % 1 != 0 or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         alphas = tuple(float(a) for a in self.alpha_grid)
         if not alphas:
@@ -193,8 +193,8 @@ def _chi2_2_cdf(x: np.ndarray, ncp: float) -> np.ndarray:
     """CDF of the (noncentral) chi-square(2) law of T, in one vectorised call.
 
     The central case uses the closed form ``1 - exp(-x/2)``; otherwise
-    ``scipy.special.chndtr`` agrees with the Poisson series of
-    :func:`apdgof.numerics.noncentral_chi2_sf` to ~1e-12 absolute.
+    ``scipy.special.chndtr``, the kernel of
+    :func:`apdgof.numerics.noncentral_chi2_sf`.
     """
     if ncp == 0.0:
         return -np.expm1(-0.5 * x)

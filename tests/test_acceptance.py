@@ -46,7 +46,9 @@ def test_c01_closed_form_covariance_matches_quadrature():
         blocks = fisher_blocks(lam)
         gap = np.max(np.abs(quadrature_fisher(lam) - blocks.full))
         worst_entry = max(worst_entry, float(gap))
-        sigma_gap = np.max(np.abs(score_covariance(lam) - blocks.score_cov))
+        loc_scale = np.diag(blocks.loc_scale_block)
+        schur = blocks.shape_block - blocks.cross_block**2 / loc_scale
+        sigma_gap = np.max(np.abs(score_covariance(lam) - schur))
         worst_sigma = max(worst_sigma, float(sigma_gap))
     check(
         "criterion 1 (closed form vs quadrature)",

@@ -14,18 +14,16 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from apdgof import numerics
+from apdgof import apd, numerics
 from apdgof.apd import (
     ApdParams,
     SepdParams,
     cdf,
-    delta_coeff,
     from_sepd,
     log_pdf,
     pdf,
     quantile,
     sample,
-    side_coeff,
 )
 from apdgof.errors import DomainError
 
@@ -82,6 +80,11 @@ class TestParams:
                 SepdParams(**kwargs)
 
 
+def delta_coeff(theta1, theta2):
+    """``2ab/(a+b)`` from the log form the density and sampler use."""
+    return math.exp(apd._log_delta(theta1, theta2))
+
+
 class TestDeltaCoeff:
     @pytest.mark.parametrize("t2", [0.5, 1.0, 2.0, 3.7])
     def test_symmetric_collapses(self, t2):
@@ -100,17 +103,6 @@ class TestDeltaCoeff:
             t1 = rng.uniform(0.01, 0.99)
             t2 = rng.uniform(0.1, 8.0)
             assert 0.0 < delta_coeff(t1, t2) < 2.0
-
-
-class TestSideCoeff:
-    def test_asymmetric(self):
-        assert_allclose(side_coeff(-1, 0.3, 2.0), 0.09, rtol=0, atol=1e-15)
-        assert_allclose(side_coeff(+1, 0.3, 2.0), 0.49, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("s", [-1, 0, 1])
-    @pytest.mark.parametrize("t2", [1.0, 2.0, 3.3])
-    def test_symmetric(self, s, t2):
-        assert_allclose(side_coeff(s, 0.5, t2), 2.0**-t2, rtol=0, atol=1e-15)
 
 
 class TestLogPdf:
@@ -283,8 +275,6 @@ class TestLargeTheta2:
         assert quantile(t1, p) == 3.0
 
     def test_unrepresentable_quantities_raise_domain_error(self):
-        with pytest.raises(DomainError):
-            delta_coeff(0.5, self.T2)  # 2**-1e6
         tiny = ApdParams(0.5, 1e-3)
         with pytest.raises(DomainError), np.errstate(over="ignore"):
             sample(tiny, 100, np.random.default_rng(0))  # G^1000

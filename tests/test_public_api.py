@@ -1,0 +1,53 @@
+"""The top-level API is exactly what the demos and the README use.
+
+``apdgof.__all__`` must equal the names that ``demos/*.py`` and the README's
+Python blocks import from ``apdgof``, plus the error classes and
+``__version__``; everything else stays in the submodules.  Each README
+Python block is also run, so the quick start cannot go stale.
+"""
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import apdgof
+from apdgof import errors
+
+ROOT = Path(__file__).resolve().parent.parent
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+)
+
+
+def imported_from_apdgof(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "apdgof"
+        for alias in node.names
+    }
+
+
+def test_all_is_what_demos_and_readme_import():
+    used = set()
+    for source in [p.read_text() for p in ROOT.glob("demos/*.py")] + README_BLOCKS:
+        used |= imported_from_apdgof(source)
+    error_classes = {
+        name
+        for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, errors.ApdGofError)
+    }
+    assert used and len(error_classes) == 5
+    assert len(apdgof.__all__) == len(set(apdgof.__all__))
+    assert set(apdgof.__all__) == used | error_classes | {"__version__"}
+    for name in apdgof.__all__:
+        assert hasattr(apdgof, name)
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_block_runs(index):
+    assert README_BLOCKS[index].strip()
+    exec(compile(README_BLOCKS[index], f"README.md block {index}", "exec"), {})

@@ -15,9 +15,11 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special as sc
 
 from apdgof import apd, simulate
 from apdgof.errors import DegenerateSampleError, DomainError
+from apdgof.numerics import chi2_sf
 from apdgof import score as score_mod
 from apdgof.score import (
     FisherBlocks,
@@ -29,13 +31,38 @@ from apdgof.score import (
     modified_score,
     noncentrality,
     run_test,
-    run_test_fixed_loc_scale,
     score_covariance,
     shape_score,
 )
 
 LOG2_PSI2 = 1.1159315156584124  # log 2 + digamma(2), 50-digit reference
 LAM_GRID = [1.0, 1.5, 2.0, 3.0]
+
+
+def run_test_fixed_loc_scale(data, lam, loc_scale, alpha=0.05):
+    """Score test with location and scale known rather than estimated.
+
+    Normalizes by the shape block of :func:`fisher_blocks` instead of the
+    modified-score covariance; asymptotically chi-square(2) under the null.
+    A Monte Carlo cross-check of the shape block.
+    """
+    lam = score_mod.check_lambda(lam)
+    alpha = score_mod._check_alpha(alpha)
+    x, _, _ = score_mod._as_clean_data(data)
+    r = modified_score(x, lam, loc_scale)
+    j = fisher_blocks(lam).shape_block
+    t = float(x.size * (r[0] ** 2 / j[0, 0] + r[1] ** 2 / j[1, 1]))
+    p = chi2_sf(t, 2)
+    return score_mod.TestReport(
+        n=x.size,
+        lam=lam,
+        loc_scale=loc_scale,
+        score=r,
+        t_stat=t,
+        p_value=p,
+        alpha=alpha,
+        reject=bool(p < alpha),
+    )
 
 
 def location_score(x, mu, lam):
@@ -427,10 +454,8 @@ class TestFisherBlocks:
 
     @pytest.mark.parametrize("lam", LAM_GRID + [1.1, 2.7, 5.0])
     def test_tail_scale_entry(self, lam):
-        from apdgof.numerics import digamma
-
         b = fisher_blocks(lam)
-        phi = 1.0 + math.log(2.0) + digamma(1.0 + 1.0 / lam)
+        phi = 1.0 + math.log(2.0) + float(sc.digamma(1.0 + 1.0 / lam))
         assert_allclose(b.cross_block[1, 1], -phi / lam, rtol=0, atol=1e-14)
         assert b.phi == pytest.approx(phi, abs=1e-14)
         assert b.nu == pytest.approx(phi - 1.0, abs=1e-14)
@@ -465,8 +490,10 @@ class TestScoreCovariance:
     def test_matches_block_expression(self):
         for lam in np.linspace(1.0, 5.0, 20):
             closed = score_covariance(lam)
-            blocks = fisher_blocks(lam)
-            assert_allclose(closed, blocks.score_cov, rtol=0, atol=1e-12)
+            b = fisher_blocks(lam)
+            inv_loc = np.linalg.inv(b.loc_scale_block)
+            schur = b.shape_block - b.cross_block @ inv_loc @ b.cross_block.T
+            assert_allclose(closed, schur, rtol=0, atol=1e-12)
 
     def test_positive_and_diagonal(self):
         for lam in np.linspace(1.0, 5.0, 17):
@@ -495,6 +522,12 @@ class TestTestStatistic:
     def test_small_n(self):
         with pytest.raises(DomainError):
             score_mod.test_statistic(np.zeros(2), 1, 1.0)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 50.5])
+    def test_non_integer_n(self, n):
+        # NaN and inf raised a builtin ValueError / OverflowError from int(n).
+        with pytest.raises(DomainError):
+            score_mod.test_statistic(np.zeros(2), n, 2.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -1.0, math.nan])
     def test_alpha_outside_unit_interval(self, alpha):
@@ -590,7 +623,6 @@ class TestRunTest:
     def test_fixed_loc_scale_null_law(self):
         # with the true location/scale plugged in, the statistic normalized by
         # the shape block is asymptotically chi-square(2)
-        from apdgof.numerics import chi2_sf
         from apdgof.simulate import ks_distance
 
         reps, n, lam = 500, 1000, 1.5

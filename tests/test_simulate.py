@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from apdgof import apd
 from apdgof.errors import ConfigError
-from apdgof.numerics import noncentral_chi2_sf
 from apdgof.score import LocationScale, fisher_blocks
 from apdgof.simulate import (
     _chi2_2_cdf,
@@ -21,6 +20,7 @@ from apdgof.simulate import (
     run_local_alternative_study,
     run_null_study,
 )
+from tests.test_numerics import poisson_series_sf
 
 
 class TestStudyConfig:
@@ -43,6 +43,13 @@ class TestStudyConfig:
             dict(lam=1.0, n=100, reps=100, seed=0, alpha_grid=(1.5,)),
             dict(lam=1.0, n=100, reps=100, seed=0, delta=(1.0,)),
             dict(lam=1.0, n=100, reps=100, seed=0, delta=(math.nan, 0.0)),
+            # NaN and inf raised a builtin ValueError / OverflowError from int().
+            dict(lam=1.0, n=math.nan, reps=100, seed=0),
+            dict(lam=1.0, n=math.inf, reps=100, seed=0),
+            dict(lam=1.0, n=100, reps=math.nan, seed=0),
+            dict(lam=1.0, n=100, reps=math.inf, seed=0),
+            dict(lam=1.0, n=100, reps=100, seed=math.nan),
+            dict(lam=1.0, n=100, reps=100, seed=math.inf),
         ],
     )
     def test_invalid(self, kwargs):
@@ -95,7 +102,7 @@ class TestChi2TwoCdf:
 
     @pytest.mark.parametrize("ncp", [0.0, 0.3, 4.0, 40.0])
     def test_against_series(self, ncp):
-        ref = np.array([1.0 - noncentral_chi2_sf(x, 2, ncp) for x in self.X])
+        ref = np.array([1.0 - poisson_series_sf(x, 2, ncp) for x in self.X])
         assert np.max(np.abs(_chi2_2_cdf(self.X, ncp) - ref)) <= 1e-11
 
 
