@@ -4,9 +4,9 @@ Subcommands: ``test`` (run the goodness-of-fit test on a data file),
 ``simulate`` (Monte Carlo size/power studies), ``tables`` (closed-form
 covariance entries over a grid of tail exponents) and ``sample`` (write
 reproducible APD variates).  Exit codes: 0 success, 2 input error,
-3 degenerate data, 4 numerical failure (a quantity is not representable or
-a routine missed its accuracy target), 64 usage error (including an invalid
-study configuration).
+3 degenerate data, 4 numerical failure (a quantity is not representable, a
+routine missed its accuracy target or every replicate of a study failed),
+64 usage error (including an invalid study configuration).
 """
 
 from __future__ import annotations
@@ -225,27 +225,17 @@ def _cmd_tables(args) -> int:
     grid = _parse_grid(args.lambda_grid)
     rows = []
     for lam in grid:
-        blocks = fisher_blocks(lam)
-        cov = score_covariance(lam)
-        rows.append(
-            {
-                "lambda": lam,
-                "j_theta1_theta1": float(blocks.shape_block[0, 0]),
-                "j_theta2_theta2": float(blocks.shape_block[1, 1]),
-                "j_theta1_mu": float(blocks.cross_block[0, 0]),
-                "j_theta2_sigma": float(blocks.cross_block[1, 1]),
-                "j_mu_mu": float(blocks.loc_scale_block[0, 0]),
-                "j_sigma_sigma": float(blocks.loc_scale_block[1, 1]),
-                "sigma11": float(cov[0, 0]),
-                "sigma22": float(cov[1, 1]),
-            }
-        )
+        # lambda, then the diagonals of the three Fisher blocks and of Sigma
+        b = fisher_blocks(lam)
+        mats = (b.shape_block, b.cross_block, b.loc_scale_block, score_covariance(lam))
+        values = np.concatenate([[lam], *map(np.diagonal, mats)])
+        rows.append(dict(zip(_TABLE_COLUMNS, map(float, values))))
     if args.json:
         _emit_json(_record("tables", {"lambda_grid": args.lambda_grid}, {"rows": rows}))
     else:
         print(",".join(_TABLE_COLUMNS))
         for row in rows:
-            print(",".join(repr(row[c]) for c in _TABLE_COLUMNS))
+            print(",".join(map(repr, row.values())))
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ sampler and adaptive quadrature are thin, validated wrappers around
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,7 +18,6 @@ from scipy import special as sc
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "QuadratureSpec",
     "chi2_sf",
     "chi2_quantile",
     "noncentral_chi2_sf",
@@ -27,28 +25,9 @@ __all__ = [
     "integrate",
 ]
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy targets for adaptive quadrature.
-
-    The integrator aims for an absolute error below
-    ``max(abs_tol, rel_tol * |result|)`` and gives up (raising
-    :class:`AccuracyError`) after ``max_subdivisions`` interval splits.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
+# Absolute and relative error target, and subdivision cap, of :func:`integrate`.
+_QUAD_TOL = 1e-10
+_QUAD_LIMIT = 200
 
 
 def _check_positive(x: float, name: str) -> float:
@@ -127,30 +106,21 @@ def gamma_sample(
     return rng.standard_gamma(shape, n)
 
 
-def integrate(
-    f: Callable[[float], float],
-    domain: tuple[float, float],
-    spec: QuadratureSpec | None = None,
-) -> float:
+def integrate(f: Callable[[float], float], domain: tuple[float, float]) -> float:
     """Adaptive quadrature of ``f`` over ``domain`` (endpoints may be +-inf).
 
-    The integrand must be smooth in the interior of the domain; split at any
-    known singular point (e.g. at 0 for ``log|y|`` factors) and sum the parts.
-    Raises :class:`AccuracyError` carrying the best estimate when the
-    requested accuracy cannot be certified within ``max_subdivisions``.
+    Aims for an absolute error below ``max(1e-10, 1e-10 * |result|)``
+    within 200 interval splits (``_QUAD_TOL``, ``_QUAD_LIMIT``).  The
+    integrand must be smooth in the interior of the domain; split at any
+    known singular point (e.g. at 0 for ``log|y|`` factors) and sum the
+    parts.  Raises :class:`AccuracyError` carrying the best estimate when
+    that accuracy cannot be certified.
     """
-    spec = spec if spec is not None else QuadratureSpec()
     lo, hi = (float(domain[0]), float(domain[1]))
     if math.isnan(lo) or math.isnan(hi) or not lo < hi:
         raise DomainError(f"invalid integration domain {domain}")
     result = _sp_integrate.quad(
-        f,
-        lo,
-        hi,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
+        f, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=_QUAD_LIMIT, full_output=1
     )
     if len(result) > 3:  # (value, abserr, info, message[, explanation])
         raise AccuracyError(str(result[3]), estimate=float(result[0]))

@@ -14,18 +14,18 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special as sc
 
 from . import apd
-from .errors import ConfigError, DegenerateSampleError
-from .numerics import QuadratureSpec, integrate
+from .errors import ConfigError, DegenerateSampleError, DomainError
+from .numerics import integrate
 from .score import (
     LocationScale,
     asymptotic_power,
     check_lambda,
-    fisher_blocks,
     fit_null_mle,
     noncentrality,
     run_test,
@@ -55,7 +55,8 @@ class StudyConfig:
 
     ``delta`` is the local-alternative direction for the shape pair; leave it
     ``None`` for a null (size) study.  ``loc_scale`` sets the location and
-    scale used to generate the data.
+    scale used to generate the data.  The validated values are stored:
+    ``lam`` as a float, ``n``, ``reps`` and ``seed`` as ints.
     """
 
     lam: float
@@ -68,7 +69,7 @@ class StudyConfig:
 
     def __post_init__(self):
         try:
-            check_lambda(self.lam)
+            lam = check_lambda(self.lam)
         except Exception as exc:
             raise ConfigError(str(exc)) from None
         if self.n % 1 != 0 or self.n < 10:
@@ -77,6 +78,9 @@ class StudyConfig:
             raise ConfigError(f"reps must be an integer >= 100, got {self.reps}")
         if self.seed % 1 != 0 or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        object.__setattr__(self, "lam", lam)
+        for name in ("n", "reps", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         alphas = tuple(float(a) for a in self.alpha_grid)
         if not alphas:
             raise ConfigError("alpha_grid must be nonempty")
@@ -201,72 +205,63 @@ def _chi2_2_cdf(x: np.ndarray, ncp: float) -> np.ndarray:
     return sc.chndtr(x, 2.0, ncp)
 
 
-def _replicate_block(args) -> list[tuple[int, float, float]]:
-    """Run a block of replicates; returns (index, t_stat, p_value) rows.
+def _replicate_block(
+    params: apd.ApdParams, lam: float, n: int, seed: int, indices
+) -> tuple[np.ndarray, np.ndarray]:
+    """T statistics and p-values of replicates ``indices``, in index order.
 
-    Degenerate replicates are reported with NaN entries so the caller can
-    count them.  Top-level function so process pools can pickle it.
+    Replicate ``r`` tests ``apd.sample(params, n, replicate_rng(seed, r))``
+    against the null with tail exponent ``lam``; a degenerate replicate
+    gives NaN in both arrays.  Top-level function so process pools can
+    pickle it.
     """
-    lam, n, seed, theta1, theta2, mu, sigma, indices = args
-    params = apd.ApdParams(theta1=theta1, theta2=theta2, mu=mu, sigma=sigma)
-    rows = []
-    for r in indices:
+    t = np.full(len(indices), math.nan)
+    p = np.full(len(indices), math.nan)
+    for k, r in enumerate(indices):
         rng = replicate_rng(seed, r)
         data = apd.sample(params, n, rng)
         try:
             report = run_test(data, lam)
         except DegenerateSampleError:
-            rows.append((r, math.nan, math.nan))
             continue
-        rows.append((r, report.t_stat, report.p_value))
-    return rows
+        t[k], p[k] = report.t_stat, report.p_value
+    return t, p
 
 
-def _run_replicates(
-    cfg: StudyConfig, params: apd.ApdParams, workers: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """T statistics and p-values over all replicates, in replicate order."""
-    args = (
-        cfg.lam,
-        cfg.n,
-        cfg.seed,
-        params.theta1,
-        params.theta2,
-        params.mu,
-        params.sigma,
-    )
+def _study(
+    cfg: StudyConfig, kind: str, theta: tuple[float, float], ncp: float, workers: int
+) -> StudyReport:
+    """Run ``cfg.reps`` replicates drawn with shape pair ``theta`` and summarise them.
+
+    Rejection rates are taken over the replicates that did not fail, next
+    to the predicted asymptotic power in a power study; the KS distance is
+    against the chi-square(2) law with noncentrality ``ncp``.
+    """
+    params = apd.ApdParams(*theta, mu=cfg.loc_scale.mu, sigma=cfg.loc_scale.sigma)
+    block = partial(_replicate_block, params, cfg.lam, cfg.n, cfg.seed)
     if workers <= 1:
-        rows = _replicate_block(args + (range(cfg.reps),))
+        t, p = block(range(cfg.reps))
     else:
-        blocks = [
-            args + (idx,)
-            for idx in np.array_split(np.arange(cfg.reps), min(4 * workers, cfg.reps))
-        ]
-        rows = []
+        indices = np.array_split(np.arange(cfg.reps), min(4 * workers, cfg.reps))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block in pool.map(_replicate_block, blocks):
-                rows.extend(block)
-    rows.sort(key=lambda row: row[0])
-    t = np.array([row[1] for row in rows])
-    p = np.array([row[2] for row in rows])
+            t, p = np.concatenate(list(pool.map(block, indices)), axis=1)
     ok = np.isfinite(t)
-    failures = int(np.count_nonzero(~ok))
-    return t[ok], p[ok], failures
-
-
-def _rejection_rates(
-    p_values: np.ndarray,
-    alphas: tuple[float, ...],
-    predictions: dict[float, float] | None,
-) -> tuple[RejectionRate, ...]:
-    m = p_values.size
-    out = []
-    for a in alphas:
-        rate = float(np.count_nonzero(p_values < a) / m)
-        se = math.sqrt(rate * (1.0 - rate) / m)
-        pred = None if predictions is None else predictions[a]
-        out.append(RejectionRate(alpha=a, rate=rate, std_error=se, predicted=pred))
-    return tuple(out)
+    m = int(np.count_nonzero(ok))
+    if m == 0:
+        raise DomainError(f"all {cfg.reps} replicates failed")
+    t, p = t[ok], p[ok]
+    rejections = []
+    for a in cfg.alpha_grid:
+        rate = float(np.count_nonzero(p < a) / m)
+        predicted = asymptotic_power(cfg.delta, cfg.lam, a) if kind == "power" else None
+        rejections.append(RejectionRate(a, rate, math.sqrt(rate * (1.0 - rate) / m), predicted))
+    return StudyReport(
+        kind=kind,
+        config=cfg,
+        rejections=tuple(rejections),
+        ks_stat=ks_distance(t, lambda v: _chi2_2_cdf(v, ncp)),
+        replicate_failures=cfg.reps - m,
+    )
 
 
 def run_null_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
@@ -277,18 +272,7 @@ def run_null_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
     """
     if cfg.delta is not None:
         raise ConfigError("null study must not set delta")
-    params = apd.ApdParams(
-        theta1=0.5, theta2=cfg.lam, mu=cfg.loc_scale.mu, sigma=cfg.loc_scale.sigma
-    )
-    t, p, failures = _run_replicates(cfg, params, workers)
-    ks = ks_distance(t, lambda v: _chi2_2_cdf(v, 0.0))
-    return StudyReport(
-        kind="size",
-        config=cfg,
-        rejections=_rejection_rates(p, cfg.alpha_grid, None),
-        ks_stat=ks,
-        replicate_failures=failures,
-    )
+    return _study(cfg, "size", (0.5, cfg.lam), 0.0, workers)
 
 
 def run_local_alternative_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
@@ -300,23 +284,8 @@ def run_local_alternative_study(cfg: StudyConfig, workers: int = 1) -> StudyRepo
     """
     if cfg.delta is None:
         raise ConfigError("local-alternative study requires delta")
-    t1, t2 = cfg.shifted_shape()
-    params = apd.ApdParams(
-        theta1=t1, theta2=t2, mu=cfg.loc_scale.mu, sigma=cfg.loc_scale.sigma
-    )
-    t, p, failures = _run_replicates(cfg, params, workers)
-    predictions = {
-        a: asymptotic_power(cfg.delta, cfg.lam, a) for a in cfg.alpha_grid
-    }
     ncp = noncentrality(cfg.delta, cfg.lam)
-    ks = ks_distance(t, lambda v: _chi2_2_cdf(v, ncp))
-    return StudyReport(
-        kind="power",
-        config=cfg,
-        rejections=_rejection_rates(p, cfg.alpha_grid, predictions),
-        ks_stat=ks,
-        replicate_failures=failures,
-    )
+    return _study(cfg, "power", cfg.shifted_shape(), ncp, workers)
 
 
 def mc_fisher_check(lam: float, n_draws: int, seed: int) -> McFisherCheck:
@@ -345,12 +314,13 @@ def mc_fisher_check(lam: float, n_draws: int, seed: int) -> McFisherCheck:
     )
 
 
-def quadrature_fisher(lam: float, spec: QuadratureSpec | None = None) -> np.ndarray:
+def quadrature_fisher(lam: float) -> np.ndarray:
     """Quadrature evaluation of the 4x4 score covariance under the null.
 
     Integrates each product of score components against the standardized
     null density over the two half-lines (split at the mode, where log
-    factors are non-smooth).  Independent cross-check of
+    factors are non-smooth), to the fixed tolerances of
+    :func:`apdgof.numerics.integrate`.  Independent cross-check of
     :func:`apdgof.score.fisher_blocks`.
     """
     lam = check_lambda(lam)
@@ -364,7 +334,7 @@ def quadrature_fisher(lam: float, spec: QuadratureSpec | None = None) -> np.ndar
             s = stacked_scores(y, lam)
             return float(s[a] * s[b]) * density(y)
 
-        return integrate(f, (-math.inf, 0.0), spec) + integrate(f, (0.0, math.inf), spec)
+        return integrate(f, (-math.inf, 0.0)) + integrate(f, (0.0, math.inf))
 
     out = np.empty((4, 4))
     for a in range(4):

@@ -474,6 +474,12 @@ class TestErrorMapping:
         assert "Traceback" not in proc.stderr
         assert proc.returncode in (EXIT_OK, EXIT_DEGENERATE, EXIT_NUMERIC, EXIT_USAGE)
 
+    def test_study_with_every_replicate_failed_is_numerical_failure(self):
+        proc = run_program("simulate", "size", "--lambda", "1e8", "--n", "20", "--reps", "100")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_NUMERIC
+        assert "all 100 replicates failed" in proc.stderr
+
     def test_huge_theta2_sample(self, tmp_path):
         out = tmp_path / "draws.txt"
         proc = run_program(

@@ -19,7 +19,6 @@ from scipy import stats
 from apdgof import numerics
 from apdgof.errors import AccuracyError, DomainError
 from apdgof.numerics import (
-    QuadratureSpec,
     chi2_quantile,
     chi2_sf,
     gamma_sample,
@@ -323,10 +322,10 @@ class TestIntegrate:
         val2 = integrate(lambda t: t * math.log(t) ** 2 * math.exp(-t), (0.0, math.inf))
         assert_allclose(val2, 0.8236806608528794, rtol=0, atol=1e-10)
 
-    def test_accuracy_error_carries_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=1)
+    def test_accuracy_error_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_QUAD_LIMIT", 1)
         with pytest.raises(AccuracyError) as err:
-            integrate(lambda t: math.sin(t * t), (0.0, 80.0), spec)
+            integrate(lambda t: math.sin(t * t), (0.0, 80.0))
         assert err.value.estimate is not None and math.isfinite(err.value.estimate)
 
     def test_domain(self):
@@ -336,11 +335,3 @@ class TestIntegrate:
             integrate(math.exp, (2.0, 1.0))
         with pytest.raises(DomainError):
             integrate(math.exp, (math.nan, 1.0))
-
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=-1e-3)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)

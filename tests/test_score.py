@@ -397,10 +397,10 @@ class TestFitResidualsOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = run_test(x, lam)
-            rows = simulate._replicate_block((lam, x.size, 3, 0.5, lam, 0.0, 1.0, [0]))
+            t, p = simulate._replicate_block(apd.ApdParams(0.5, lam), lam, x.size, 3, [0])
         assert np.any(x == rep.loc_scale.mu)
         assert np.all(np.isfinite(rep.score)) and math.isfinite(rep.p_value)
-        assert rows == [(0, rep.t_stat, rep.p_value)]
+        assert (t.tolist(), p.tolist()) == ([rep.t_stat], [rep.p_value])
         assert_close_report(rep, reference_test(x, lam, reference_fit(x, lam)))
 
 

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from apdgof import apd
-from apdgof.errors import ConfigError
+from apdgof.errors import ConfigError, DomainError
 from apdgof.score import LocationScale, fisher_blocks
 from apdgof.simulate import (
     _chi2_2_cdf,
@@ -55,6 +55,25 @@ class TestStudyConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             StudyConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("reps", 100.0),
+            ("seed", 3.0),
+            ("n", 100.0),
+            ("lam", 2),
+            ("n", np.int64(100)),
+        ],
+    )
+    def test_stores_validated_values(self, field, value):
+        # integral floats, an int lambda and numpy integers used to reach the
+        # study (a bare TypeError) or the report (other bytes) as given
+        base = dict(lam=2.0, n=100, reps=100, seed=3)
+        cfg = StudyConfig(**{**base, field: value})
+        assert type(cfg.lam) is float
+        assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.seed))
+        assert run_null_study(cfg).to_json() == run_null_study(StudyConfig(**base)).to_json()
 
     def test_shifted_shape_leaving_space(self):
         # theta1 drift of -6/sqrt(100) pushes the asymmetry below 0
@@ -163,6 +182,14 @@ class TestLocalAlternativeStudy:
         assert alt_report.ks_stat == null_report.ks_stat
         assert alt_report.rejections[0].predicted == pytest.approx(0.05, abs=1e-12)
 
+    def test_worker_count_invariance(self):
+        cfg = StudyConfig(
+            lam=2.0, n=200, reps=200, seed=5, alpha_grid=(0.05, 0.2), delta=(0.5, 0.3)
+        )
+        a = run_local_alternative_study(cfg)
+        b = run_local_alternative_study(cfg, workers=3)
+        assert a.to_json() == b.to_json()
+
     def test_prediction_columns_present(self):
         cfg = StudyConfig(lam=2.0, n=400, reps=200, seed=1, delta=(0.8, 0.4))
         report = run_local_alternative_study(cfg)
@@ -238,3 +265,9 @@ class TestFailureCounting:
         assert report.replicate_failures == 1
         total = report.config.reps - report.replicate_failures
         assert total == 99
+
+    def test_every_replicate_failing_is_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr("apdgof.simulate.apd.sample", lambda params, n, rng: np.zeros(n))
+        cfg = StudyConfig(lam=2.0, n=50, reps=100, seed=2)
+        with pytest.raises(DomainError, match="all 100 replicates failed"):
+            run_null_study(cfg)
