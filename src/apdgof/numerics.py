@@ -3,7 +3,10 @@
 The central and noncentral chi-square distributions, the gamma-variate
 sampler and adaptive quadrature are thin, validated wrappers around
 ``scipy.special``, numpy's ``Generator.standard_gamma`` and
-``scipy.integrate.quad``.
+``scipy.integrate.quad``.  ``scipy.integrate`` (with the ``scipy.optimize``,
+``scipy.sparse`` and ``scipy.linalg`` it pulls in) loads on the first call
+to :func:`integrate`, so importing this module costs only numpy and
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sp_integrate
 from scipy import special as sc
 
 from .errors import AccuracyError, DomainError
@@ -114,8 +116,11 @@ def integrate(f: Callable[[float], float], domain: tuple[float, float]) -> float
     integrand must be smooth in the interior of the domain; split at any
     known singular point (e.g. at 0 for ``log|y|`` factors) and sum the
     parts.  Raises :class:`AccuracyError` carrying the best estimate when
-    that accuracy cannot be certified.
+    that accuracy cannot be certified.  ``scipy.integrate`` is imported on
+    the first call.
     """
+    from scipy import integrate as _sp_integrate
+
     lo, hi = (float(domain[0]), float(domain[1]))
     if math.isnan(lo) or math.isnan(hi) or not lo < hi:
         raise DomainError(f"invalid integration domain {domain}")

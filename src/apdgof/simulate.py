@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -242,6 +241,8 @@ def _study(
     if workers <= 1:
         t, p = block(range(cfg.reps))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         indices = np.array_split(np.arange(cfg.reps), min(4 * workers, cfg.reps))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             t, p = np.concatenate(list(pool.map(block, indices)), axis=1)
@@ -353,17 +354,20 @@ def mle_rmse_study(
     """Root-mean-square errors of the fitted location and scale under the null.
 
     Used to verify the root-n consistency rate: the RMSE at sample size
-    ``16 n`` should be about a quarter of the RMSE at ``n``.
+    ``16 n`` should be about a quarter of the RMSE at ``n``.  ``n``,
+    ``reps`` and ``seed`` follow the :class:`StudyConfig` rules and raise
+    :class:`ConfigError` where it would.
     """
     lam = check_lambda(lam)
+    cfg = StudyConfig(lam, n, reps, seed, loc_scale=loc_scale)
     params = apd.ApdParams(
         theta1=0.5, theta2=lam, mu=loc_scale.mu, sigma=loc_scale.sigma
     )
     sq_mu = 0.0
     sq_sigma = 0.0
-    for r in range(reps):
-        rng = replicate_rng(seed, r)
-        fit = fit_null_mle(apd.sample(params, n, rng), lam)
+    for r in range(cfg.reps):
+        rng = replicate_rng(cfg.seed, r)
+        fit = fit_null_mle(apd.sample(params, cfg.n, rng), lam)
         sq_mu += (fit.mu - loc_scale.mu) ** 2
         sq_sigma += (fit.sigma - loc_scale.sigma) ** 2
-    return math.sqrt(sq_mu / reps), math.sqrt(sq_sigma / reps)
+    return math.sqrt(sq_mu / cfg.reps), math.sqrt(sq_sigma / cfg.reps)

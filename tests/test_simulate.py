@@ -247,6 +247,18 @@ class TestMleRmseStudy:
         assert large[0] < small[0]
         assert large[1] < small[1]
 
+    @pytest.mark.parametrize(
+        "n, reps, seed",
+        [(100, 0, 17), (100.5, 100, 17), (100, 100, -1), (100, 99.5, 17)],
+    )
+    def test_invalid_counts_are_config_errors(self, n, reps, seed):
+        with pytest.raises(ConfigError):
+            mle_rmse_study(2.0, n, reps, seed)
+
+    def test_integral_float_reps_is_accepted(self):
+        # StudyConfig accepts an integral float and stores int(reps).
+        assert mle_rmse_study(2.0, 100, 100.0, 17) == mle_rmse_study(2.0, 100, 100, 17)
+
 
 class TestFailureCounting:
     def test_degenerate_replicate_is_counted(self, monkeypatch):
