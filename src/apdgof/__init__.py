@@ -17,7 +17,7 @@ from .errors import (
 from .score import (
     LocationScale,
     asymptotic_power,
-    fisher_blocks,
+    fisher_information,
     noncentrality,
     run_test,
     score_covariance,
@@ -46,7 +46,7 @@ __all__ = [
     "sample",
     "from_sepd",
     "LocationScale",
-    "fisher_blocks",
+    "fisher_information",
     "score_covariance",
     "noncentrality",
     "asymptotic_power",

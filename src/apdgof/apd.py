@@ -114,7 +114,7 @@ def log_pdf(x, p: ApdParams):
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
     y = (x - p.mu) / p.sigma
-    base = np.where(y < 0, p.theta1, np.where(y > 0, 1.0 - p.theta1, 0.5))
+    base = np.where(y < 0, p.theta1, 1.0 - p.theta1)
     out = (
         _log_norm_const(p)
         - 0.5 * (_root_delta(p.theta1, p.theta2) * np.abs(y) / base) ** p.theta2
@@ -200,9 +200,9 @@ def sample(p: ApdParams, n: int, rng: np.random.Generator) -> np.ndarray:
     Kolmogorov-Smirnov tests.  Raises :class:`DomainError` when a draw
     overflows (tiny ``theta2``).
     """
+    if n % 1 != 0 or n < 0:  # n % 1 is NaN for a NaN or infinite n
+        raise DomainError(f"n must be a nonnegative integer, got {n}")
     n = int(n)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
     if n == 0:
         return np.empty(0)
     t1, t2 = p.theta1, p.theta2

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import apd
 from .errors import ApdGofError, ConfigError, DegenerateSampleError, DomainError
-from .score import LocationScale, fisher_blocks, run_test, score_covariance
+from .score import LocationScale, fisher_information, run_test, score_covariance
 from .simulate import _SCHEMA_VERSION, StudyConfig, run_local_alternative_study, run_null_study
 
 EXIT_OK = 0
@@ -225,10 +225,10 @@ def _cmd_tables(args) -> int:
     grid = _parse_grid(args.lambda_grid)
     rows = []
     for lam in grid:
-        # lambda, then the diagonals of the three Fisher blocks and of Sigma
-        b = fisher_blocks(lam)
-        mats = (b.shape_block, b.cross_block, b.loc_scale_block, score_covariance(lam))
-        values = np.concatenate([[lam], *map(np.diagonal, mats)])
+        # lambda, then the six nonzero entries of J and the diagonal of Sigma
+        j = fisher_information(lam)
+        values = [lam, j[0, 0], j[1, 1], j[0, 2], j[1, 3], j[2, 2], j[3, 3],
+                  *np.diagonal(score_covariance(lam))]
         rows.append(dict(zip(_TABLE_COLUMNS, map(float, values))))
     if args.json:
         _emit_json(_record("tables", {"lambda_grid": args.lambda_grid}, {"rows": rows}))

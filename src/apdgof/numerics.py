@@ -1,12 +1,12 @@
 """Probability kernels used by the rest of the package.
 
-The central and noncentral chi-square distributions, the gamma-variate
-sampler and adaptive quadrature are thin, validated wrappers around
-``scipy.special``, numpy's ``Generator.standard_gamma`` and
-``scipy.integrate.quad``.  ``scipy.integrate`` (with the ``scipy.optimize``,
-``scipy.sparse`` and ``scipy.linalg`` it pulls in) loads on the first call
-to :func:`integrate`, so importing this module costs only numpy and
-``scipy.special``.
+The chi-square(2) law of the test statistic T (central under the null,
+noncentral under local alternatives), the gamma-variate sampler and
+adaptive quadrature are thin, validated wrappers around ``scipy.special``,
+numpy's ``Generator.standard_gamma`` and ``scipy.integrate.quad``.
+``scipy.integrate`` (with the ``scipy.optimize``, ``scipy.sparse`` and
+``scipy.linalg`` it pulls in) loads on the first call to :func:`integrate`,
+so importing this module costs only numpy and ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -46,47 +46,30 @@ def _check_nonneg(x: float, name: str) -> float:
     return x
 
 
-def _check_df(k: int) -> int:
-    if k % 1 != 0 or k < 1:  # k % 1 is NaN for a NaN or infinite k
-        raise DomainError(f"degrees of freedom must be a positive integer, got {k}")
-    return int(k)
+def chi2_sf(x: float) -> float:
+    """Survival function of the chi-square(2) law: ``exp(-x/2)``."""
+    return math.exp(-0.5 * _check_nonneg(x, "x"))
 
 
-def chi2_sf(x: float, k: int) -> float:
-    """Survival function of the chi-square distribution with ``k`` dof.
-
-    ``k == 2`` uses the closed form ``exp(-x/2)``.
-    """
-    x = _check_nonneg(x, "x")
-    k = _check_df(k)
-    if k == 2:
-        return math.exp(-0.5 * x)
-    return float(sc.gammaincc(0.5 * k, 0.5 * x))
-
-
-def chi2_quantile(p: float, k: int) -> float:
-    """Quantile of the chi-square distribution: ``chi2_sf(q, k) == 1 - p``."""
+def chi2_quantile(p: float) -> float:
+    """Quantile of the chi-square(2) law: ``chi2_sf(-2 log(1 - p)) == 1 - p``."""
     p = float(p)
     if not (math.isfinite(p) and 0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p}")
-    k = _check_df(k)
-    if k == 2:
-        return -2.0 * math.log1p(-p)
-    return float(2.0 * sc.gammainccinv(0.5 * k, 1.0 - p))
+    return -2.0 * math.log1p(-p)
 
 
-def noncentral_chi2_sf(x: float, k: int, ncp: float) -> float:
-    """Survival function of the noncentral chi-square distribution.
+def noncentral_chi2_sf(x: float, ncp: float) -> float:
+    """Survival function of the noncentral chi-square(2) law.
 
-    ``1 - scipy.special.chndtr(x, k, ncp)``, within ``1e-10`` of the exact
+    ``1 - scipy.special.chndtr(x, 2, ncp)``, within ``1e-10`` of the exact
     value; ``ncp == 0`` is :func:`chi2_sf`.
     """
     x = _check_nonneg(x, "x")
-    k = _check_df(k)
     ncp = _check_nonneg(ncp, "ncp")
     if ncp == 0.0:
-        return chi2_sf(x, k)
-    return 1.0 - float(sc.chndtr(x, k, ncp))
+        return chi2_sf(x)
+    return 1.0 - float(sc.chndtr(x, 2, ncp))
 
 
 def gamma_sample(
@@ -102,10 +85,9 @@ def gamma_sample(
     shape = _check_positive(shape, "shape")
     if size is None:
         return float(rng.standard_gamma(shape))
-    n = int(size)
-    if n < 0:
-        raise DomainError(f"size must be nonnegative, got {size}")
-    return rng.standard_gamma(shape, n)
+    if size % 1 != 0 or size < 0:  # size % 1 is NaN for a NaN or infinite size
+        raise DomainError(f"size must be a nonnegative integer, got {size}")
+    return rng.standard_gamma(shape, int(size))
 
 
 def integrate(f: Callable[[float], float], domain: tuple[float, float]) -> float:

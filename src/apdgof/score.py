@@ -22,7 +22,6 @@ from .numerics import chi2_quantile, chi2_sf, noncentral_chi2_sf
 
 __all__ = [
     "LocationScale",
-    "FisherBlocks",
     "TestReport",
     "check_lambda",
     "shape_score",
@@ -30,7 +29,7 @@ __all__ = [
     "stacked_scores",
     "fit_null_mle",
     "modified_score",
-    "fisher_blocks",
+    "fisher_information",
     "score_covariance",
     "test_statistic",
     "noncentrality",
@@ -53,33 +52,6 @@ class LocationScale:
             raise DomainError("location and scale must be finite")
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class FisherBlocks:
-    """Asymptotic covariance blocks of the stacked score vector under the null.
-
-    Parameter ordering is (theta1, theta2 | mu, sigma); all three blocks are
-    diagonal 2x2 matrices.  The scalars ``beta = 1 + 1/lam``,
-    ``nu = log 2 + psi(beta)`` and ``phi = 1 + nu`` recur in the entries.
-    :func:`score_covariance` is their Schur complement
-    ``shape - cross^2 / loc_scale`` in closed form.
-    """
-
-    lam: float
-    shape_block: np.ndarray
-    cross_block: np.ndarray
-    loc_scale_block: np.ndarray
-    beta: float
-    phi: float
-    nu: float
-
-    @property
-    def full(self) -> np.ndarray:
-        """The assembled 4x4 covariance matrix."""
-        top = np.hstack([self.shape_block, self.cross_block])
-        bottom = np.hstack([self.cross_block.T, self.loc_scale_block])
-        return np.vstack([top, bottom])
 
 
 @dataclass(frozen=True)
@@ -277,36 +249,28 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
     return _mean_shape_score(*_residuals(x, fit.mu, lam), fit.sigma, lam)
 
 
-def fisher_blocks(lam: float) -> FisherBlocks:
-    """Closed-form asymptotic covariance blocks of the stacked scores.
+def fisher_information(lam: float) -> np.ndarray:
+    """Closed-form null covariance J of the stacked scores, as a 4x4 matrix.
 
-    The six cross entries pairing components of opposite parity vanish
-    exactly; the nonzero entries are explicit gamma/digamma/trigamma
-    expressions in ``lam``.
+    Rows and columns run (theta1, theta2, mu, sigma), the order of
+    :func:`stacked_scores`.  The entries pairing components of opposite
+    parity vanish exactly; the six nonzero ones are gamma/digamma/trigamma
+    expressions in ``lam`` with ``beta = 1 + 1/lam`` and
+    ``nu = log 2 + psi(beta)``.  :func:`score_covariance` is the Schur
+    complement ``J[:2, :2] - J[:2, 2:] J[2:, 2:]^-1 J[2:, :2]`` in closed form.
     """
     lam = check_lambda(lam)
     beta = 1.0 + 1.0 / lam
     nu = _nu(lam)
-    phi = 1.0 + nu
     g_beta = float(sc.gamma(beta))
-    j_t1t1 = 4.0 * (1.0 + lam)
-    j_t2t2 = (nu * (2.0 + nu) + beta * float(sc.polygamma(1, beta))) / lam**3
-    j_t1mu = -(2.0 ** (1.0 - 1.0 / lam)) * lam / g_beta
-    j_t2sig = -phi / lam
-    j_mumu = lam * float(sc.gamma(3.0 - beta)) / (2.0 ** (2.0 / lam) * g_beta)
-    j_sigsig = lam
-    shape_block = np.diag([j_t1t1, j_t2t2])
-    cross_block = np.diag([j_t1mu, j_t2sig])
-    loc_scale_block = np.diag([j_mumu, j_sigsig])
-    return FisherBlocks(
-        lam=lam,
-        shape_block=shape_block,
-        cross_block=cross_block,
-        loc_scale_block=loc_scale_block,
-        beta=beta,
-        phi=phi,
-        nu=nu,
-    )
+    j = np.zeros((4, 4))
+    j[0, 0] = 4.0 * (1.0 + lam)
+    j[1, 1] = (nu * (2.0 + nu) + beta * float(sc.polygamma(1, beta))) / lam**3
+    j[0, 2] = j[2, 0] = -(2.0 ** (1.0 - 1.0 / lam)) * lam / g_beta
+    j[1, 3] = j[3, 1] = -(1.0 + nu) / lam
+    j[2, 2] = lam * float(sc.gamma(3.0 - beta)) / (2.0 ** (2.0 / lam) * g_beta)
+    j[3, 3] = lam
+    return j
 
 
 # Cached: every replicate of a study scores and tests at the same lam.
@@ -363,9 +327,11 @@ def test_statistic(
         raise DomainError(f"n must be an integer >= 2, got {n}")
     n = int(n)
     r = np.asarray(score, dtype=float).ravel()
+    if r.size != 2:
+        raise DomainError(f"score must have 2 entries, got {r.size}")
     s11, s22 = _score_cov_diag(lam)
     t = float(n * (r[0] ** 2 / s11 + r[1] ** 2 / s22))
-    p = chi2_sf(t, 2)
+    p = chi2_sf(t)
     reject = None if alpha is None else bool(p < alpha)
     return TestReport(
         n=n,
@@ -380,9 +346,11 @@ def test_statistic(
 
 
 def noncentrality(delta, lam: float) -> float:
-    """Noncentrality ``delta' Sigma delta`` induced by a local shape drift."""
+    """Noncentrality ``delta' Sigma delta`` of a finite local shape drift ``delta``."""
     lam = check_lambda(lam)
     d = np.asarray(delta, dtype=float).ravel()
+    if d.size != 2 or not np.isfinite(d).all():
+        raise DomainError(f"delta must be a finite 2-vector, got {delta}")
     s11, s22 = _score_cov_diag(lam)
     return float(s11 * d[0] ** 2 + s22 * d[1] ** 2)
 
@@ -394,8 +362,8 @@ def asymptotic_power(delta, lam: float, alpha: float) -> float:
     with noncentrality :func:`noncentrality`; equals ``alpha`` at
     ``delta = 0``.
     """
-    crit = chi2_quantile(1.0 - _check_alpha(alpha), 2)
-    return noncentral_chi2_sf(crit, 2, noncentrality(delta, lam))
+    crit = chi2_quantile(1.0 - _check_alpha(alpha))
+    return noncentral_chi2_sf(crit, noncentrality(delta, lam))
 
 
 def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:

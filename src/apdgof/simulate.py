@@ -48,6 +48,18 @@ __all__ = [
 _SCHEMA_VERSION = "1"
 
 
+def _check_count(name: str, value, least: int) -> int:
+    if value % 1 != 0 or value < least:  # value % 1 is NaN for a NaN or infinite value
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
+def _check_seed(seed) -> int:
+    if seed % 1 != 0 or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Configuration of one Monte Carlo study.
@@ -71,15 +83,10 @@ class StudyConfig:
             lam = check_lambda(self.lam)
         except Exception as exc:
             raise ConfigError(str(exc)) from None
-        if self.n % 1 != 0 or self.n < 10:
-            raise ConfigError(f"n must be an integer >= 10, got {self.n}")
-        if self.reps % 1 != 0 or self.reps < 100:
-            raise ConfigError(f"reps must be an integer >= 100, got {self.reps}")
-        if self.seed % 1 != 0 or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "lam", lam)
-        for name in ("n", "reps", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "n", _check_count("n", self.n, 10))
+        object.__setattr__(self, "reps", _check_count("reps", self.reps, 100))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         alphas = tuple(float(a) for a in self.alpha_grid)
         if not alphas:
             raise ConfigError("alpha_grid must be nonempty")
@@ -294,12 +301,13 @@ def mc_fisher_check(lam: float, n_draws: int, seed: int) -> McFisherCheck:
 
     Sample covariance of the stacked scores over ``n_draws`` standardized
     null variates, with per-entry standard errors; each entry should fall
-    within a few standard errors of the closed form.
+    within a few standard errors of the closed form.  ``n_draws`` must be an
+    integer >= 1e5 and ``seed`` follows the :class:`StudyConfig` rule; both
+    raise :class:`ConfigError` otherwise.
     """
     lam = check_lambda(lam)
-    n_draws = int(n_draws)
-    if n_draws < 10**5:
-        raise ConfigError(f"n_draws must be at least 1e5, got {n_draws}")
+    n_draws = _check_count("n_draws", n_draws, 10**5)
+    seed = _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     y = apd.sample(apd.ApdParams(theta1=0.5, theta2=lam), n_draws, rng)
     v = stacked_scores(y, lam)
@@ -311,7 +319,7 @@ def mc_fisher_check(lam: float, n_draws: int, seed: int) -> McFisherCheck:
             prod = centered[a] * centered[b]
             std_error[a, b] = std_error[b, a] = prod.std(ddof=1) / math.sqrt(n_draws)
     return McFisherCheck(
-        lam=lam, draws=n_draws, seed=int(seed), estimate=estimate, std_error=std_error
+        lam=lam, draws=n_draws, seed=seed, estimate=estimate, std_error=std_error
     )
 
 
@@ -321,8 +329,9 @@ def quadrature_fisher(lam: float) -> np.ndarray:
     Integrates each product of score components against the standardized
     null density over the two half-lines (split at the mode, where log
     factors are non-smooth), to the fixed tolerances of
-    :func:`apdgof.numerics.integrate`.  Independent cross-check of
-    :func:`apdgof.score.fisher_blocks`.
+    :func:`apdgof.numerics.integrate`.  Rows and columns run (theta1,
+    theta2, mu, sigma); independent cross-check of the closed-form matrix
+    :func:`apdgof.score.fisher_information`.
     """
     lam = check_lambda(lam)
     norm = 1.0 / (2.0 ** (1.0 + 1.0 / lam) * math.gamma(1.0 + 1.0 / lam))

@@ -14,7 +14,7 @@ import pytest
 from apdgof import apd, numerics
 from apdgof.apd import ApdParams, SepdParams, from_sepd, pdf
 from apdgof.score import (
-    fisher_blocks,
+    fisher_information,
     fit_null_mle,
     run_test,
     score_covariance,
@@ -43,11 +43,10 @@ def test_c01_closed_form_covariance_matches_quadrature():
     worst_entry = 0.0
     worst_sigma = 0.0
     for lam in LAM_GRID:
-        blocks = fisher_blocks(lam)
-        gap = np.max(np.abs(quadrature_fisher(lam) - blocks.full))
+        j = fisher_information(lam)
+        gap = np.max(np.abs(quadrature_fisher(lam) - j))
         worst_entry = max(worst_entry, float(gap))
-        loc_scale = np.diag(blocks.loc_scale_block)
-        schur = blocks.shape_block - blocks.cross_block**2 / loc_scale
+        schur = j[:2, :2] - j[:2, 2:] ** 2 / np.diag(j[2:, 2:])
         sigma_gap = np.max(np.abs(score_covariance(lam) - schur))
         worst_sigma = max(worst_sigma, float(sigma_gap))
     check(

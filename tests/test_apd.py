@@ -234,6 +234,11 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(STANDARD_NORMAL, -1, rng)
 
+    @pytest.mark.parametrize("n", [2.7, math.nan, math.inf])
+    def test_count_not_an_integer(self, n):
+        with pytest.raises(DomainError):
+            sample(STANDARD_NORMAL, n, np.random.default_rng(1))
+
 
 class TestLargeTheta2:
     """theta2 = 1e6, where ``a``, ``b`` and ``delta`` underflow to 0.

@@ -29,7 +29,7 @@ def test_gamma_family_recurrences(x):
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_chi2_two_dof_round_trip(p):
-    assert_allclose(chi2_sf(chi2_quantile(p, 2), 2), 1 - p, rtol=0, atol=1e-12)
+    assert_allclose(chi2_sf(chi2_quantile(p)), 1 - p, rtol=0, atol=1e-12)
 
 
 @given(theta1_values, lam_values, st.floats(min_value=0.01, max_value=0.99))

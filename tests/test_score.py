@@ -22,10 +22,9 @@ from apdgof.errors import DegenerateSampleError, DomainError
 from apdgof.numerics import chi2_sf
 from apdgof import score as score_mod
 from apdgof.score import (
-    FisherBlocks,
     LocationScale,
     asymptotic_power,
-    fisher_blocks,
+    fisher_information,
     fit_null_mle,
     loc_scale_score,
     modified_score,
@@ -42,7 +41,7 @@ LAM_GRID = [1.0, 1.5, 2.0, 3.0]
 def run_test_fixed_loc_scale(data, lam, loc_scale, alpha=0.05):
     """Score test with location and scale known rather than estimated.
 
-    Normalizes by the shape block of :func:`fisher_blocks` instead of the
+    Normalizes by the shape block of :func:`fisher_information` instead of the
     modified-score covariance; asymptotically chi-square(2) under the null.
     A Monte Carlo cross-check of the shape block.
     """
@@ -50,9 +49,9 @@ def run_test_fixed_loc_scale(data, lam, loc_scale, alpha=0.05):
     alpha = score_mod._check_alpha(alpha)
     x, _, _ = score_mod._as_clean_data(data)
     r = modified_score(x, lam, loc_scale)
-    j = fisher_blocks(lam).shape_block
+    j = fisher_information(lam)
     t = float(x.size * (r[0] ** 2 / j[0, 0] + r[1] ** 2 / j[1, 1]))
-    p = chi2_sf(t, 2)
+    p = chi2_sf(t)
     return score_mod.TestReport(
         n=x.size,
         lam=lam,
@@ -438,31 +437,27 @@ class TestModifiedScore:
 
 class TestFisherBlocks:
     def test_laplace_entries(self):
-        b = fisher_blocks(1.0)
-        assert b.shape_block[0, 0] == 8.0
-        assert b.loc_scale_block[1, 1] == 1.0
-        assert_allclose(b.cross_block[0, 0], -1.0, rtol=0, atol=1e-14)
-        assert_allclose(b.loc_scale_block[0, 0], 0.25, rtol=0, atol=1e-14)
+        j = fisher_information(1.0)
+        assert j[0, 0] == 8.0
+        assert j[3, 3] == 1.0
+        assert_allclose(j[0, 2], -1.0, rtol=0, atol=1e-14)
+        assert_allclose(j[2, 2], 0.25, rtol=0, atol=1e-14)
 
     def test_normal_entries(self):
-        b = fisher_blocks(2.0)
-        assert b.shape_block[0, 0] == 12.0
-        assert b.loc_scale_block[1, 1] == 2.0
-        assert_allclose(
-            b.cross_block[0, 0], -4.0 * math.sqrt(2.0 / math.pi), rtol=0, atol=1e-13
-        )
+        j = fisher_information(2.0)
+        assert j[0, 0] == 12.0
+        assert j[3, 3] == 2.0
+        assert_allclose(j[0, 2], -4.0 * math.sqrt(2.0 / math.pi), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("lam", LAM_GRID + [1.1, 2.7, 5.0])
     def test_tail_scale_entry(self, lam):
-        b = fisher_blocks(lam)
+        j = fisher_information(lam)
         phi = 1.0 + math.log(2.0) + float(sc.digamma(1.0 + 1.0 / lam))
-        assert_allclose(b.cross_block[1, 1], -phi / lam, rtol=0, atol=1e-14)
-        assert b.phi == pytest.approx(phi, abs=1e-14)
-        assert b.nu == pytest.approx(phi - 1.0, abs=1e-14)
+        assert_allclose(j[1, 3], -phi / lam, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     def test_zero_pattern(self, lam):
-        full = fisher_blocks(lam).full
+        full = fisher_information(lam)
         zero_pairs = [(0, 1), (0, 3), (1, 2), (2, 3)]
         for a, b in zero_pairs:
             assert full[a, b] == 0.0
@@ -471,9 +466,9 @@ class TestFisherBlocks:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            fisher_blocks(0.9)
+            fisher_information(0.9)
         with pytest.raises(DomainError):
-            fisher_blocks(math.inf)
+            fisher_information(math.inf)
 
 
 class TestScoreCovariance:
@@ -490,9 +485,8 @@ class TestScoreCovariance:
     def test_matches_block_expression(self):
         for lam in np.linspace(1.0, 5.0, 20):
             closed = score_covariance(lam)
-            b = fisher_blocks(lam)
-            inv_loc = np.linalg.inv(b.loc_scale_block)
-            schur = b.shape_block - b.cross_block @ inv_loc @ b.cross_block.T
+            j = fisher_information(lam)
+            schur = j[:2, :2] - j[:2, 2:] @ np.linalg.inv(j[2:, 2:]) @ j[2:, :2]
             assert_allclose(closed, schur, rtol=0, atol=1e-12)
 
     def test_positive_and_diagonal(self):
@@ -542,6 +536,11 @@ class TestTestStatistic:
         rep = score_mod.test_statistic(np.zeros(2), 50, 1.0, alpha=None)
         assert rep.alpha is None and rep.reject is None
 
+    @pytest.mark.parametrize("score", [[0.1], [0.1, 0.2, 5.0]])
+    def test_score_not_a_pair(self, score):
+        with pytest.raises(DomainError):
+            score_mod.test_statistic(score, 100, 2)
+
 
 class TestNoncentralityAndPower:
     def test_zero_direction(self):
@@ -577,6 +576,15 @@ class TestNoncentralityAndPower:
         for alpha in (0.0, 1.0, -0.5):
             with pytest.raises(DomainError):
                 asymptotic_power((1.0, 0.0), 1.0, alpha)
+
+    @pytest.mark.parametrize(
+        "delta", [(0.5,), (0.5, 0.3, 1.0), (math.nan, 0.3), (0.5, math.inf)]
+    )
+    def test_delta_not_a_finite_pair(self, delta):
+        with pytest.raises(DomainError):
+            noncentrality(delta, 2)
+        with pytest.raises(DomainError):
+            asymptotic_power(delta, 2, 0.05)
 
 
 class TestRunTest:
@@ -632,5 +640,5 @@ class TestRunTest:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(rep,)))
             data = apd.sample(apd.ApdParams(0.5, lam), n, rng)
             t_vals[rep] = run_test_fixed_loc_scale(data, lam, true).t_stat
-        ks = ks_distance(t_vals, lambda v: 1.0 - np.vectorize(chi2_sf)(v, 2))
+        ks = ks_distance(t_vals, lambda v: 1.0 - np.vectorize(chi2_sf)(v))
         assert ks < 1.63 / math.sqrt(reps)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from apdgof import apd
 from apdgof.errors import ConfigError, DomainError
-from apdgof.score import LocationScale, fisher_blocks
+from apdgof.score import LocationScale, fisher_information
 from apdgof.simulate import (
     _chi2_2_cdf,
     StudyConfig,
@@ -210,10 +210,18 @@ class TestMcFisherCheck:
         with pytest.raises(ConfigError):
             mc_fisher_check(1.0, 10**4, seed=0)
 
+    @pytest.mark.parametrize(
+        "n_draws, seed",
+        [(10**5, -1), (10**5, 1.5), (100000.5, 0), (math.nan, 0), (math.inf, 0)],
+    )
+    def test_counts_and_seeds_follow_study_rules(self, n_draws, seed):
+        with pytest.raises(ConfigError):
+            mc_fisher_check(2.0, n_draws, seed)
+
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_within_four_standard_errors(self, lam):
         check = mc_fisher_check(lam, 2 * 10**5, seed=23)
-        ref = fisher_blocks(lam).full
+        ref = fisher_information(lam)
         gap = np.abs(check.estimate - ref)
         assert np.all(gap <= 4.0 * check.std_error)
 
@@ -227,7 +235,7 @@ class TestQuadratureFisher:
     @pytest.mark.parametrize("lam", [1.0, 2.5])
     def test_matches_closed_form(self, lam):
         qf = quadrature_fisher(lam)
-        assert_allclose(qf, fisher_blocks(lam).full, rtol=0, atol=1e-6)
+        assert_allclose(qf, fisher_information(lam), rtol=0, atol=1e-6)
 
     def test_zero_entries_tiny(self):
         qf = quadrature_fisher(2.0)
