@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 from .errors import DomainError
 from .numerics import gamma_sample
@@ -105,7 +104,7 @@ def _root_delta(theta1: float, theta2: float) -> float:
 def _log_norm_const(p: ApdParams) -> float:
     # log of delta^(1/t2) / (2^(1/t2) Gamma(1 + 1/t2))
     inv = 1.0 / p.theta2
-    return inv * (_log_delta(p.theta1, p.theta2) - _LOG2) - float(sc.gammaln(1.0 + inv))
+    return inv * (_log_delta(p.theta1, p.theta2) - _LOG2) - math.lgamma(1.0 + inv)
 
 
 def log_pdf(x, p: ApdParams):
@@ -115,11 +114,9 @@ def log_pdf(x, p: ApdParams):
         raise DomainError("x must be finite")
     y = (x - p.mu) / p.sigma
     base = np.where(y < 0, p.theta1, 1.0 - p.theta1)
-    out = (
-        _log_norm_const(p)
-        - 0.5 * (_root_delta(p.theta1, p.theta2) * np.abs(y) / base) ** p.theta2
-        - math.log(p.sigma)
-    )
+    with np.errstate(over="ignore"):  # far in the tails the power is inf: log density -inf
+        tail = (_root_delta(p.theta1, p.theta2) * np.abs(y) / base) ** p.theta2
+    out = _log_norm_const(p) - 0.5 * tail - math.log(p.sigma)
     return float(out) if out.ndim == 0 else out
 
 
@@ -133,8 +130,11 @@ def cdf(x, p: ApdParams):
 
     Piecewise in terms of regularized incomplete gamma functions of
     ``t = 0.5 * (delta / A) * |y|^theta2``; in particular the value at the
-    mode ``x = mu`` is exactly ``theta1``.
+    mode ``x = mu`` is exactly ``theta1``.  ``scipy.special`` is imported on
+    the first call.
     """
+    from scipy import special as sc
+
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
@@ -159,8 +159,10 @@ def quantile(u, p: ApdParams):
 
     Closed-form inversion of the piecewise incomplete-gamma representation;
     ``quantile(theta1) == mu``.  Raises :class:`DomainError` where the
-    quantile overflows.
+    quantile overflows.  ``scipy.special`` is imported on the first call.
     """
+    from scipy import special as sc
+
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("u must lie in (0, 1)")

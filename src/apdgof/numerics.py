@@ -2,11 +2,13 @@
 
 The chi-square(2) law of the test statistic T (central under the null,
 noncentral under local alternatives), the gamma-variate sampler and
-adaptive quadrature are thin, validated wrappers around ``scipy.special``,
-numpy's ``Generator.standard_gamma`` and ``scipy.integrate.quad``.
-``scipy.integrate`` (with the ``scipy.optimize``, ``scipy.sparse`` and
-``scipy.linalg`` it pulls in) loads on the first call to :func:`integrate`,
-so importing this module costs only numpy and ``scipy.special``.
+adaptive quadrature are validated wrappers around closed forms,
+``scipy.special.chndtr``, numpy's ``Generator.standard_gamma`` and
+``scipy.integrate.quad``.  Importing this module costs only numpy: the
+central law is closed-form, ``scipy.special`` loads on the first
+noncentral call, and ``scipy.integrate`` (with the ``scipy.optimize``,
+``scipy.sparse`` and ``scipy.linalg`` it pulls in) on the first call to
+:func:`integrate`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import special as sc
 
 from .errors import AccuracyError, DomainError
 
@@ -63,12 +64,15 @@ def noncentral_chi2_sf(x: float, ncp: float) -> float:
     """Survival function of the noncentral chi-square(2) law.
 
     ``1 - scipy.special.chndtr(x, 2, ncp)``, within ``1e-10`` of the exact
-    value; ``ncp == 0`` is :func:`chi2_sf`.
+    value; ``ncp == 0`` is :func:`chi2_sf`.  ``scipy.special`` is imported
+    on the first call with ``ncp > 0``.
     """
     x = _check_nonneg(x, "x")
     ncp = _check_nonneg(ncp, "ncp")
     if ncp == 0.0:
         return chi2_sf(x)
+    from scipy import special as sc
+
     return 1.0 - float(sc.chndtr(x, 2, ncp))
 
 

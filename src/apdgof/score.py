@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 from .errors import DegenerateSampleError, DomainError
 from .numerics import chi2_quantile, chi2_sf, noncentral_chi2_sf
@@ -38,6 +37,9 @@ __all__ = [
 ]
 
 _ROOT_MAX_ITER = 200
+# B_2k / (2k) and B_2k for k = 1..6: the asymptotic series of psi and psi'.
+_PSI_TERMS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
+_PSI1_TERMS = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
 @dataclass(frozen=True)
@@ -262,30 +264,83 @@ def fisher_information(lam: float) -> np.ndarray:
     lam = check_lambda(lam)
     beta = 1.0 + 1.0 / lam
     nu = _nu(lam)
-    g_beta = float(sc.gamma(beta))
+    g_beta = math.gamma(beta)
     j = np.zeros((4, 4))
     j[0, 0] = 4.0 * (1.0 + lam)
-    j[1, 1] = (nu * (2.0 + nu) + beta * float(sc.polygamma(1, beta))) / lam**3
+    j[1, 1] = (nu * (2.0 + nu) + beta * _trigamma(beta)) / lam**3
     j[0, 2] = j[2, 0] = -(2.0 ** (1.0 - 1.0 / lam)) * lam / g_beta
     j[1, 3] = j[3, 1] = -(1.0 + nu) / lam
-    j[2, 2] = lam * float(sc.gamma(3.0 - beta)) / (2.0 ** (2.0 / lam) * g_beta)
+    j[2, 2] = lam * math.gamma(3.0 - beta) / (2.0 ** (2.0 / lam) * g_beta)
     j[3, 3] = lam
     return j
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0; within 2e-15 on the (1, 2] that ``beta`` spans.
+
+    Shifts x up to at least 12 by ``psi(x) = psi(x + 1) - 1/x``, then sums the
+    asymptotic series ``log x - 1/(2x) - sum_k B_2k / (2k x^2k)`` through
+    ``x^-12`` (the next term is below 1e-16 there).
+    """
+    parts = []
+    while x < 12.0:
+        parts.append(-1.0 / x)
+        x += 1.0
+    z = 1.0 / (x * x)
+    tail = sum(c * z**k for k, c in enumerate(_PSI_TERMS, 1))
+    return math.fsum([*parts, math.log(x), -0.5 / x, -tail])
+
+
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0; within 1e-15 relative on the (1, 2] that ``beta`` spans.
+
+    Shifts x up to at least 12 by ``psi'(x) = psi'(x + 1) + 1/x^2``, then sums
+    ``1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1)`` through ``x^-13``.
+    """
+    parts = []
+    while x < 12.0:
+        parts.append(1.0 / (x * x))
+        x += 1.0
+    z = 1.0 / (x * x)
+    tail = sum(c * z**k for k, c in enumerate(_PSI1_TERMS, 1))
+    return math.fsum([*parts, (1.0 + 0.5 / x + tail) / x])
 
 
 # Cached: every replicate of a study scores and tests at the same lam.
 @functools.lru_cache(maxsize=256)
 def _nu(lam: float) -> float:
-    return math.log(2.0) + float(sc.digamma(1.0 + 1.0 / lam))
+    return math.log(2.0) + _digamma(1.0 + 1.0 / lam)
+
+
+def _sinc_defect(lam: float) -> float:
+    """``lam^2 (1 - sinc(1/lam))`` with ``sinc(x) = sin(pi x) / (pi x)``, for ``lam >= 1``.
+
+    For ``lam > 2`` the difference cancels, so it is summed as the Taylor
+    series ``pi^2 sum_k (-z)^k / (2k + 3)!`` in ``z = (pi / lam)^2``; ten
+    terms leave under 1e-19 at ``lam = 2``.
+    """
+    px = math.pi / lam
+    if lam <= 2.0:
+        return lam * lam * (1.0 - math.sin(px) / px)
+    z = px * px
+    term = total = math.pi**2 / 6.0
+    for k in range(1, 11):
+        term *= -z / ((2 * k + 2) * (2 * k + 3))
+        total += term
+    return total
 
 
 @functools.lru_cache(maxsize=256)
 def _score_cov_diag(lam: float) -> tuple[float, float]:
     beta = 1.0 + 1.0 / lam
-    s11 = 4.0 * (1.0 + lam) - 4.0 * lam / (
-        float(sc.gamma(3.0 - beta)) * float(sc.gamma(beta))
-    )
-    s22 = (beta * float(sc.polygamma(1, beta)) - 1.0) / lam**3
+    if lam >= 1.5:
+        # 4 lam / (Gamma(3 - beta) Gamma(beta)) = 4 lam^2 sinc(1/lam) / (lam - 1),
+        # so the two terms' difference has a closed form, which cancels
+        # nothing for large lam; at lam = 1 it is 0/0.
+        s11 = 4.0 * (_sinc_defect(lam) - 1.0) / (lam - 1.0)
+    else:
+        s11 = 4.0 * (1.0 + lam) - 4.0 * lam / (math.gamma(3.0 - beta) * math.gamma(beta))
+    s22 = (beta * _trigamma(beta) - 1.0) / lam**3
     return s11, s22
 
 
@@ -294,7 +349,10 @@ def score_covariance(lam: float) -> np.ndarray:
 
     Diagonal matrix ``diag(4(1 + lam) - 4 lam / (Gamma(3 - beta) Gamma(beta)),
     (beta psi'(beta) - 1) / lam^3)`` with ``beta = 1 + 1/lam``; positive
-    definite for every ``lam >= 1``.
+    definite for every ``lam >= 1``.  From ``lam = 1.5`` the first entry is
+    taken through ``Gamma(1 + x) Gamma(2 - x) = (1 - x) / sinc(x)`` at
+    ``x = 1/lam``, which keeps it accurate where the two terms above cancel
+    (large ``lam``).
     """
     return np.diag(_score_cov_diag(check_lambda(lam)))
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import special as sc
 
 from . import apd
 from .errors import ConfigError, DegenerateSampleError, DomainError
@@ -208,6 +207,8 @@ def _chi2_2_cdf(x: np.ndarray, ncp: float) -> np.ndarray:
     """
     if ncp == 0.0:
         return -np.expm1(-0.5 * x)
+    from scipy import special as sc
+
     return sc.chndtr(x, 2.0, ncp)
 
 

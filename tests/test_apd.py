@@ -8,6 +8,7 @@ against a direct evaluation of that density written out in this file.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,26 @@ class TestLogPdf:
     def test_scalar_round_trip(self):
         out = log_pdf(1.2, STANDARD_NORMAL)
         assert isinstance(out, float)
+
+    def test_far_tail_is_minus_inf_without_warning(self):
+        # (root_delta |y| / base)^theta2 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_pdf(1e50, ApdParams(0.5, 7.0)) == -math.inf
+
+    def test_density_is_zero_where_the_tail_overflows(self):
+        p = ApdParams(0.3, 1e3, 0.3, 1.2)
+        x = np.linspace(-6.0, 6.0, 121)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens = pdf(x, p)
+        y = (x - p.mu) / p.sigma
+        base = np.where(y < 0, p.theta1, 1.0 - p.theta1)
+        z = apd._root_delta(p.theta1, p.theta2) * np.abs(y) / base
+        overflows = p.theta2 * np.log(z) > math.log(np.finfo(float).max)
+        assert np.isfinite(dens).all()
+        assert overflows.any() and not overflows.all()
+        assert (dens[overflows] == 0.0).all()
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):

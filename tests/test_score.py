@@ -4,14 +4,17 @@ The closed-form score components are validated against central finite
 differences of the log density; the root-solved MLE against a dense grid
 scan of its estimating equation and against a plain bisection oracle; the
 covariance entries against the quadrature and Monte Carlo cross-checks
-exercised in the simulation tests.  The test, which scores from the
-residuals its fit leaves behind, is compared with the three-step pipeline
-(fit with its own scale line, elementwise shape score, statistic).
+exercised in the simulation tests, and against 50-digit mpmath; the
+digamma and trigamma helpers against mpmath and ``scipy.special``.  The
+test, which scores from the residuals its fit leaves behind, is compared
+with the three-step pipeline (fit with its own scale line, elementwise
+shape score, statistic).
 """
 
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -471,6 +474,49 @@ class TestFisherBlocks:
             fisher_information(math.inf)
 
 
+def scipy_fisher_information(lam):
+    """:func:`fisher_information` with its gamma, digamma and trigamma from scipy.special."""
+    beta = 1.0 + 1.0 / lam
+    nu = math.log(2.0) + float(sc.digamma(beta))
+    g_beta = float(sc.gamma(beta))
+    j = np.zeros((4, 4))
+    j[0, 0] = 4.0 * (1.0 + lam)
+    j[1, 1] = (nu * (2.0 + nu) + beta * float(sc.polygamma(1, beta))) / lam**3
+    j[0, 2] = j[2, 0] = -(2.0 ** (1.0 - 1.0 / lam)) * lam / g_beta
+    j[1, 3] = j[3, 1] = -(1.0 + nu) / lam
+    j[2, 2] = lam * float(sc.gamma(3.0 - beta)) / (2.0 ** (2.0 / lam) * g_beta)
+    j[3, 3] = lam
+    return j
+
+
+class TestDigammaTrigamma:
+    """The package's psi and psi' at ``beta = 1 + 1/lam``, against mpmath and scipy."""
+
+    BETAS = np.concatenate(
+        [np.linspace(1.0, 2.0, 401)[1:], 1.0 + 1.0 / np.geomspace(1.0, 1e8, 200)]
+    )
+
+    def test_against_mpmath_on_beta_range(self):
+        with mp.workdps(40):
+            for beta in map(float, self.BETAS):
+                psi = mp.digamma(beta)
+                psi1 = mp.polygamma(1, beta)
+                assert abs(score_mod._digamma(beta) - psi) <= 2e-15
+                assert abs(score_mod._trigamma(beta) - psi1) <= 1e-15 * psi1
+
+    @pytest.mark.parametrize("x", [1e-3, 0.4, 1.0, 2.0, 11.5, 12.0, 77.0, 1e6])
+    def test_against_scipy(self, x):
+        assert_allclose(score_mod._digamma(x), sc.digamma(x), rtol=1e-14, atol=1e-14)
+        assert_allclose(score_mod._trigamma(x), sc.polygamma(1, x), rtol=1e-14, atol=0)
+
+    def test_fisher_information_matches_scipy_special(self):
+        for lam in map(float, np.geomspace(1.0, 1e6, 121)):
+            j, ref = fisher_information(lam), scipy_fisher_information(lam)
+            nonzero = ref != 0.0
+            assert_allclose(j[nonzero], ref[nonzero], rtol=1e-14, atol=0, err_msg=str(lam))
+            assert (j[~nonzero] == 0.0).all()
+
+
 class TestScoreCovariance:
     def test_laplace(self):
         cov = score_covariance(1.0)
@@ -494,6 +540,20 @@ class TestScoreCovariance:
             cov = score_covariance(lam)
             assert cov[0, 0] > 0 and cov[1, 1] > 0
             assert cov[0, 1] == 0.0 and cov[1, 0] == 0.0
+
+    def test_against_mpmath_over_the_lambda_range(self):
+        # 4(1 + lam) - 4 lam / (Gamma(3 - beta) Gamma(beta)) cancels to ~2.58/lam
+        # for large lam: at 50 digits the reference keeps over 30 of them.
+        lams = [*np.geomspace(1.0, 1e8, 161), 1.4, np.nextafter(1.5, 0.0), 1.5, 1.75, 2.5]
+        with mp.workdps(50):
+            for lam in map(float, lams):
+                s11, s22 = np.diag(score_covariance(lam))
+                lam_mp = mp.mpf(lam)
+                beta = 1 + 1 / lam_mp
+                ref11 = 4 * (1 + lam_mp) - 4 * lam_mp / (mp.gamma(3 - beta) * mp.gamma(beta))
+                ref22 = (beta * mp.polygamma(1, beta) - 1) / lam_mp**3
+                assert abs(s11 - ref11) <= 1e-13 * ref11, lam
+                assert abs(s22 - ref22) <= 1e-13 * ref22, lam
 
 
 class TestTestStatistic:
