@@ -20,7 +20,7 @@ import numpy as np
 
 from . import apd
 from .errors import ApdGofError, ConfigError, DegenerateSampleError, DomainError
-from .score import LocationScale, fisher_information, run_test, score_covariance
+from .score import LocationScale, check_lambda, fisher_information, run_test, score_covariance
 from .simulate import _SCHEMA_VERSION, StudyConfig, run_local_alternative_study, run_null_study
 
 EXIT_OK = 0
@@ -28,6 +28,9 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERIC = 4
 EXIT_USAGE = 64
+
+# Most rows ``tables --lambda-grid`` prints.
+_GRID_CAP = 10_000
 
 _TABLE_COLUMNS = (
     "lambda",
@@ -126,8 +129,15 @@ def _check(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
+def _check_lambda(lam: float, flag: str) -> float:
+    try:
+        return check_lambda(lam)
+    except DomainError as exc:
+        raise _UsageError(f"{flag}: {exc}") from None
+
+
 def _cmd_test(args) -> int:
-    _check(args.lam >= 1.0 and math.isfinite(args.lam), "--lambda must be >= 1")
+    _check_lambda(args.lam, "--lambda")
     _check(0.0 < args.alpha < 1.0, "--alpha must lie in (0, 1)")
     data = read_values(args.input)
     report = run_test(data, args.lam, alpha=args.alpha)
@@ -205,20 +215,22 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(v) for v in parts)
     except ValueError:
         raise _UsageError(f"--lambda-grid has non-numeric parts: {text!r}") from None
-    _check(math.isfinite(start) and math.isfinite(stop) and math.isfinite(step),
-           "--lambda-grid values must be finite")
-    _check(start >= 1.0, "--lambda-grid start must be >= 1")
+    _check_lambda(start, "--lambda-grid start")
+    _check_lambda(stop, "--lambda-grid stop")
     _check(stop >= start, "--lambda-grid stop must be >= start")
-    _check(step > 0.0, "--lambda-grid step must be positive")
-    grid = []
-    k = 0
-    while True:
-        lam = start + k * step
-        if lam > stop * (1.0 + 1e-12) + 1e-12:
-            break
-        grid.append(lam)
-        k += 1
-    return grid
+    _check(math.isfinite(step) and step > 0.0, "--lambda-grid step must be positive and finite")
+    # Row k is start + k*step while it stays <= limit.  Rows never decrease
+    # in k, so count is exact once row count-1 is in and row count is out.
+    # Where rounding bites the ratio is a row or two off; the loops mend it
+    # without walking past the cap.
+    limit = stop * (1.0 + 1e-12) + 1e-12
+    count = int(min((limit - start) / step, _GRID_CAP)) + 1
+    while start + (count - 1) * step > limit:
+        count -= 1
+    while count <= _GRID_CAP and start + count * step <= limit:
+        count += 1
+    _check(count <= _GRID_CAP, f"--lambda-grid must have at most {_GRID_CAP} rows")
+    return [start + k * step for k in range(count)]
 
 
 def _cmd_tables(args) -> int:

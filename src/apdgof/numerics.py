@@ -71,9 +71,21 @@ def noncentral_chi2_sf(x: float, ncp: float) -> float:
     ncp = _check_nonneg(ncp, "ncp")
     if ncp == 0.0:
         return chi2_sf(x)
+    return 1.0 - float(_chi2_cdf(x, ncp))
+
+
+def _chi2_cdf(x, ncp: float):
+    """CDF of the chi-square(2) law with noncentrality ``ncp``, elementwise over ``x``.
+
+    ``1 - exp(-x/2)`` when ``ncp == 0``, otherwise ``scipy.special.chndtr``
+    (imported on the first such call).  Unvalidated: the studies' KS step
+    passes whole arrays of statistics.
+    """
+    if ncp == 0.0:
+        return -np.expm1(-0.5 * x)
     from scipy import special as sc
 
-    return 1.0 - float(sc.chndtr(x, 2, ncp))
+    return sc.chndtr(x, 2.0, ncp)
 
 
 def gamma_sample(

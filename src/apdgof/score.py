@@ -23,8 +23,6 @@ __all__ = [
     "LocationScale",
     "TestReport",
     "check_lambda",
-    "shape_score",
-    "loc_scale_score",
     "stacked_scores",
     "fit_null_mle",
     "modified_score",
@@ -71,50 +69,37 @@ class TestReport:
 
 
 def check_lambda(lam: float) -> float:
-    """Validate the null tail exponent (``lam >= 1``, finite)."""
+    """Validate the null tail exponent: ``lam >= 1`` with a finite ``lam^3``.
+
+    The closed forms divide by ``lam^3``, which overflows from about 5.6e102.
+    """
     lam = float(lam)
-    if not (math.isfinite(lam) and lam >= 1.0):
-        raise DomainError(f"lam must be a finite real >= 1, got {lam}")
+    if not (lam >= 1.0 and math.isfinite(lam * lam * lam)):
+        raise DomainError(f"lam must be >= 1 with a finite cube (up to ~5.64e102), got {lam}")
     return lam
 
 
-def shape_score(y, lam: float):
-    """Score components for the shape pair, evaluated at the symmetric null.
+def stacked_scores(y, lam: float):
+    """Per-observation score of all four components at the symmetric null.
 
-    Returns ``(-lam |y|^lam sign(y),
-    -(|y|^lam log|y| - (2/lam^2)(log 2 + psi(1 + 1/lam))) / 2)``, stacked on
-    the first axis.  The ``|y|^lam log|y|`` factor takes its limit value 0 at
-    ``y = 0``.
+    Rows run (theta1, theta2, mu, sigma), the order of
+    :func:`fisher_information`: ``-lam |y|^lam sign(y)``,
+    ``-(|y|^lam log|y| - (2/lam^2)(log 2 + psi(1 + 1/lam))) / 2``, then the
+    standardized location and scale scores ``(lam/2) |y|^(lam-1) sign(y)``
+    and ``(lam/2) |y|^lam - 1``.  At ``y = 0`` the ``|y|^lam log|y|`` factor
+    takes its limit value 0, and ``sign(0) := 0`` keeps the location row 0
+    even for ``lam = 1``.
     """
     lam = check_lambda(lam)
     y = np.asarray(y, dtype=float)
     ay = np.abs(y)
+    sgn = np.sign(y)
     pw = ay**lam
     with np.errstate(divide="ignore", invalid="ignore"):
         pw_log = np.where(ay > 0.0, pw * np.log(ay), 0.0)
-    c1 = -lam * pw * np.sign(y)
-    c2 = -0.5 * (pw_log - 2.0 / lam**2 * _nu(lam))
-    return np.stack([c1, c2])
-
-
-def loc_scale_score(y, lam: float):
-    """Score components for location and scale (standardized), at the null.
-
-    Returns ``((lam/2) |y|^(lam-1) sign(y), (lam/2) |y|^lam - 1)`` stacked on
-    the first axis; ``sign(0) := 0`` keeps the first component zero at
-    ``y = 0`` even for ``lam = 1``.
-    """
-    lam = check_lambda(lam)
-    y = np.asarray(y, dtype=float)
-    ay = np.abs(y)
-    c1 = 0.5 * lam * ay ** (lam - 1.0) * np.sign(y)
-    c2 = 0.5 * lam * ay**lam - 1.0
-    return np.stack([c1, c2])
-
-
-def stacked_scores(y, lam: float):
-    """All four score components (shape pair, then location/scale)."""
-    return np.concatenate([shape_score(y, lam), loc_scale_score(y, lam)])
+    shape = (-lam * pw * sgn, -0.5 * (pw_log - 2.0 / lam**2 * _nu(lam)))
+    loc_scale = (0.5 * lam * ay ** (lam - 1.0) * sgn, 0.5 * lam * pw - 1.0)
+    return np.stack([*shape, *loc_scale])
 
 
 def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
@@ -220,12 +205,13 @@ def fit_null_mle(data, lam: float) -> LocationScale:
 
 
 def _mean_shape_score(d, ad, adl, sigma: float, lam: float) -> np.ndarray:
-    """Mean of :func:`shape_score` over ``y = d / sigma``, given ``|d|`` and ``|d|^lam``.
+    """Mean shape score (rows 0-1 of :func:`stacked_scores`) at ``y = d / sigma``.
 
-    Where ``d == 0`` the weight ``|y|^lam`` is 0; lifting ``|y|`` there to the
-    least positive double keeps ``|y|^lam log|y|`` at its limit 0.  For a huge
-    ``sigma``, ``sigma^-lam`` underflows to 0 as ``|y|^lam`` would, where
-    ``sigma^lam`` would overflow.
+    ``ad`` and ``adl`` are ``|d|`` and ``|d|^lam``.  Where ``d == 0`` the
+    weight ``|y|^lam`` is 0; lifting ``|y|`` there to the least positive
+    double keeps ``|y|^lam log|y|`` at its limit 0.  For a huge ``sigma``,
+    ``sigma^-lam`` underflows to 0 as ``|y|^lam`` would, where ``sigma^lam``
+    would overflow.
     """
     w = adl * np.power(sigma, -lam)
     wlog = np.log(np.maximum(ad / sigma, math.ulp(0.0)))
@@ -240,7 +226,7 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
 
     ``fit`` should come from :func:`fit_null_mle` on the same data; the
     result is finite even when the fitted location coincides with a data
-    point (the ``y = 0`` conventions of :func:`shape_score`).  The residual
+    point (the ``y = 0`` conventions of :func:`stacked_scores`).  The residual
     powers are formed as the location solve forms them, and :func:`run_test`
     averages its fit's own residuals with the same code.
     """

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import apd
 from .errors import ConfigError, DegenerateSampleError, DomainError
-from .numerics import integrate
+from .numerics import _chi2_cdf, integrate
 from .score import (
     LocationScale,
     asymptotic_power,
@@ -171,9 +171,6 @@ class StudyReport:
 class McFisherCheck:
     """Sample covariance of the stacked scores, with per-entry standard errors."""
 
-    lam: float
-    draws: int
-    seed: int
     estimate: np.ndarray
     std_error: np.ndarray
 
@@ -196,20 +193,6 @@ def ks_distance(values, cdf) -> float:
     c = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - c, c - (i - 1) / n)))
-
-
-def _chi2_2_cdf(x: np.ndarray, ncp: float) -> np.ndarray:
-    """CDF of the (noncentral) chi-square(2) law of T, in one vectorised call.
-
-    The central case uses the closed form ``1 - exp(-x/2)``; otherwise
-    ``scipy.special.chndtr``, the kernel of
-    :func:`apdgof.numerics.noncentral_chi2_sf`.
-    """
-    if ncp == 0.0:
-        return -np.expm1(-0.5 * x)
-    from scipy import special as sc
-
-    return sc.chndtr(x, 2.0, ncp)
 
 
 def _replicate_block(
@@ -268,7 +251,7 @@ def _study(
         kind=kind,
         config=cfg,
         rejections=tuple(rejections),
-        ks_stat=ks_distance(t, lambda v: _chi2_2_cdf(v, ncp)),
+        ks_stat=ks_distance(t, lambda v: _chi2_cdf(v, ncp)),
         replicate_failures=cfg.reps - m,
     )
 
@@ -319,9 +302,7 @@ def mc_fisher_check(lam: float, n_draws: int, seed: int) -> McFisherCheck:
         for b in range(a, 4):
             prod = centered[a] * centered[b]
             std_error[a, b] = std_error[b, a] = prod.std(ddof=1) / math.sqrt(n_draws)
-    return McFisherCheck(
-        lam=lam, draws=n_draws, seed=seed, estimate=estimate, std_error=std_error
-    )
+    return McFisherCheck(estimate=estimate, std_error=std_error)
 
 
 def quadrature_fisher(lam: float) -> np.ndarray:

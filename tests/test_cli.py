@@ -28,7 +28,9 @@ from apdgof.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _GRID_CAP,
     _InputError,
+    _parse_grid,
     main,
     read_values,
 )
@@ -140,6 +142,13 @@ class TestTestCommand:
     def test_bad_lambda_is_usage_error(self, capsys, data_file):
         code, _, _ = run_cli(capsys, "test", "--input", data_file, "--lambda", "0.5")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("lam", ["1e103", "inf", "nan"])
+    def test_lambda_out_of_range_is_usage_error(self, capsys, data_file, lam):
+        # 1e103 raised a bare OverflowError from lam**3
+        code, out, err = run_cli(capsys, "test", "--input", data_file, "--lambda", lam)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: --lambda")
 
     def test_bad_alpha_is_usage_error(self, capsys, data_file):
         code, _, _ = run_cli(
@@ -257,6 +266,35 @@ class TestTablesCommand:
     def test_bad_grids(self, capsys, grid):
         code, _, _ = run_cli(capsys, "tables", "--lambda-grid", grid)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "grid", ["1:3:0.5", "1.7:9.3:0.37", "1:100:0.01", "1e15:1e15:0.3", "1:1.00000000005:1e-14"]
+    )
+    def test_grid_matches_stepping_oracle(self, grid):
+        # start + k*step, stepped until it passes stop (with slack).  In the
+        # last two grids step is a few ulps of start, so rows round unevenly.
+        start, stop, step = map(float, grid.split(":"))
+        expected = []
+        while (lam := start + len(expected) * step) <= stop * (1.0 + 1e-12) + 1e-12:
+            expected.append(lam)
+        assert _parse_grid(grid) == expected
+
+    def test_grid_row_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "tables", "--lambda-grid", f"1:{_GRID_CAP}:1")
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 1 + _GRID_CAP
+        code, out, err = run_cli(capsys, "tables", "--lambda-grid", f"1:{_GRID_CAP + 1}:1")
+        assert code == EXIT_USAGE
+        assert out == "" and "rows" in err
+
+    @pytest.mark.parametrize("grid", ["1e103:1e103:1", "1:1e9:1"])
+    def test_long_grid_is_usage_error(self, grid):
+        # The first never ended (start + k*step rounds to start); the second
+        # built a billion-row list.
+        proc = run_program("tables", "--lambda-grid", grid, timeout=60)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 class TestSampleCommand:
@@ -453,7 +491,7 @@ class TestUsageBasics:
         assert run_cli(capsys, "test", "--lambda", "1")[0] == EXIT_USAGE
 
 
-def run_program(*argv):
+def run_program(*argv, timeout=300):
     """Run ``python -m apdgof.cli`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -462,7 +500,7 @@ def run_program(*argv):
         env=env,
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 

@@ -180,6 +180,12 @@ class TestNoncentralChi2:
     def test_at_zero(self):
         assert noncentral_chi2_sf(0.0, 4.0) == 1.0
 
+    @pytest.mark.parametrize("ncp", [0.3, 4.0, 40.0])
+    def test_shares_the_study_kernel(self, ncp):
+        # The studies' KS step and this function evaluate one CDF.
+        for x in np.linspace(0.0, 60.0, 61).tolist():
+            assert noncentral_chi2_sf(x, ncp) == 1.0 - float(numerics._chi2_cdf(x, ncp))
+
     def test_reference_value(self):
         # Independent references for sf(5.9914645..., df=2, ncp=4): scipy's
         # implementation and the Monte Carlo check below both give 0.41543.

@@ -29,12 +29,11 @@ from apdgof.score import (
     asymptotic_power,
     fisher_information,
     fit_null_mle,
-    loc_scale_score,
     modified_score,
     noncentrality,
     run_test,
     score_covariance,
-    shape_score,
+    stacked_scores,
 )
 
 LOG2_PSI2 = 1.1159315156584124  # log 2 + digamma(2), 50-digit reference
@@ -155,7 +154,7 @@ def reference_sigma(x, lam, mu):
 
 def reference_test(x, lam, fit):
     """Elementwise shape score at ``(x - mu) / sigma``, averaged, then the statistic."""
-    r = shape_score((x - fit.mu) / fit.sigma, lam).mean(axis=1)
+    r = stacked_scores((x - fit.mu) / fit.sigma, lam)[:2].mean(axis=1)
     return score_mod.test_statistic(r, x.size, lam, fit=fit)
 
 
@@ -167,49 +166,49 @@ def assert_close_report(rep, ref):
 
 class TestShapeScore:
     def test_at_origin_laplace(self):
-        c = shape_score(0.0, 1.0)
+        c = stacked_scores(0.0, 1.0)[:2]
         assert c[0] == 0.0
         assert_allclose(c[1], LOG2_PSI2, rtol=0, atol=1e-13)
 
     def test_at_one_laplace(self):
-        c = shape_score(1.0, 1.0)
+        c = stacked_scores(1.0, 1.0)[:2]
         assert_allclose(c[0], -1.0, rtol=0, atol=1e-15)
         assert_allclose(c[1], LOG2_PSI2, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     def test_parity(self, lam):
         y = np.linspace(0.01, 4.0, 37)
-        plus = shape_score(y, lam)
-        minus = shape_score(-y, lam)
+        plus = stacked_scores(y, lam)[:2]
+        minus = stacked_scores(-y, lam)[:2]
         assert_allclose(minus[0], -plus[0], rtol=0, atol=1e-14)
         assert_allclose(minus[1], plus[1], rtol=0, atol=1e-14)
 
     def test_limit_convention_is_continuous(self):
         # |y|^lam log|y| -> 0, so values near zero approach the y=0 value
-        near = shape_score(1e-12, 1.0)
-        at = shape_score(0.0, 1.0)
+        near = stacked_scores(1e-12, 1.0)[:2]
+        at = stacked_scores(0.0, 1.0)[:2]
         assert_allclose(near, at, rtol=0, atol=1e-10)
 
     def test_vector_shape(self):
-        assert shape_score(np.zeros(5), 2.0).shape == (2, 5)
-        assert shape_score(0.3, 2.0).shape == (2,)
+        assert stacked_scores(np.zeros(5), 2.0)[:2].shape == (2, 5)
+        assert stacked_scores(0.3, 2.0)[:2].shape == (2,)
 
 
 class TestLocScaleScore:
     def test_examples(self):
-        assert_allclose(loc_scale_score(1.0, 1.0), [0.5, -0.5], rtol=0, atol=1e-15)
-        assert_allclose(loc_scale_score(0.0, 1.0), [0.0, -1.0], rtol=0, atol=1e-15)
-        assert_allclose(loc_scale_score(2.0, 2.0), [2.0, 3.0], rtol=0, atol=1e-15)
+        assert_allclose(stacked_scores(1.0, 1.0)[2:], [0.5, -0.5], rtol=0, atol=1e-15)
+        assert_allclose(stacked_scores(0.0, 1.0)[2:], [0.0, -1.0], rtol=0, atol=1e-15)
+        assert_allclose(stacked_scores(2.0, 2.0)[2:], [2.0, 3.0], rtol=0, atol=1e-15)
 
     def test_sign_zero_convention_laplace(self):
         # at lam=1 the first component is |y|^0 sign(y); sign(0) := 0 keeps it 0
-        assert loc_scale_score(0.0, 1.0)[0] == 0.0
+        assert stacked_scores(0.0, 1.0)[2] == 0.0
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     def test_parity(self, lam):
         y = np.linspace(0.01, 4.0, 37)
-        plus = loc_scale_score(y, lam)
-        minus = loc_scale_score(-y, lam)
+        plus = stacked_scores(y, lam)[2:]
+        minus = stacked_scores(-y, lam)[2:]
         assert_allclose(minus[0], -plus[0], rtol=0, atol=1e-14)
         assert_allclose(minus[1], plus[1], rtol=0, atol=1e-14)
 
@@ -231,7 +230,7 @@ class TestScoreDerivativeOracle:
                 apd.log_pdf(y, apd.ApdParams(0.5, lam + self.H))
                 - apd.log_pdf(y, apd.ApdParams(0.5, lam - self.H))
             ) / (2 * self.H)
-            assert_allclose(shape_score(y, lam), [g1, g2], rtol=2e-5, atol=2e-5)
+            assert_allclose(stacked_scores(y, lam)[:2], [g1, g2], rtol=2e-5, atol=2e-5)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     def test_loc_scale_score_is_scaled_gradient(self, lam):
@@ -248,7 +247,7 @@ class TestScoreDerivativeOracle:
                 - apd.log_pdf(x, apd.ApdParams(0.5, lam, mu, sigma - self.H))
             ) / (2 * self.H)
             assert_allclose(
-                loc_scale_score(y, lam), [sigma * g1, sigma * g2], rtol=2e-5, atol=2e-5
+                stacked_scores(y, lam)[2:], [sigma * g1, sigma * g2], rtol=2e-5, atol=2e-5
             )
 
 
@@ -329,7 +328,7 @@ class TestFitNullMle:
         data = apd.sample(apd.ApdParams(0.5, lam, 1.0, 2.0), 501, rng)
         fit = fit_null_mle(data, lam)
         z = (data - fit.mu) / fit.sigma
-        scores = loc_scale_score(z, lam)
+        scores = stacked_scores(z, lam)[2:]
         n = data.size
         assert abs(scores[1].sum()) <= 1e-9 * n
         if lam == 1.0:
@@ -436,6 +435,28 @@ class TestModifiedScore:
             r = modified_score(data, lam, fit_null_mle(data, lam))
             hits += bool(np.all(np.abs(r) < bound))
         assert hits / reps >= 0.99
+
+
+class TestLambdaDomain:
+    LAM_MAX = 5.643803094122361e102  # the largest double with a finite cube
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            fisher_information,
+            score_covariance,
+            lambda lam: noncentrality((1.0, 1.0), lam),
+            lambda lam: asymptotic_power((1.0, 1.0), lam, 0.05),
+        ],
+        ids=["fisher_information", "score_covariance", "noncentrality", "asymptotic_power"],
+    )
+    def test_cube_overflow_is_domain_error(self, call):
+        # lam**3 raised a bare OverflowError here
+        assert np.all(np.isfinite(call(self.LAM_MAX)))
+        with pytest.raises(DomainError):
+            call(math.nextafter(self.LAM_MAX, math.inf))
+        with pytest.raises(DomainError):
+            call(1e103)
 
 
 class TestFisherBlocks:
@@ -680,6 +701,29 @@ class TestRunTest:
             t0 = run_test(data, lam).t_stat
             t1 = run_test(a * data + b, lam).t_stat
             assert abs(t0 - t1) < 1e-10
+
+    @pytest.mark.parametrize(
+        "lam,scale",
+        [
+            pytest.param(
+                lam,
+                scale,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=(DegenerateSampleError, RuntimeWarning),
+                    reason="|x - mu|^lam over- or underflows, so the fitted scale is "
+                    "inf or 0: the residual powers are not yet formed scale-safely",
+                ),
+            )
+            for lam, scale in [(3.0, 1e150), (2.0, 1e300), (2.0, 1e-300), (3.0, 1e-300)]
+        ],
+    )
+    def test_affine_invariance_at_extreme_scales(self, lam, scale):
+        rng = np.random.default_rng(123)
+        data = apd.sample(apd.ApdParams(0.5, lam), 200, rng)
+        t0 = run_test(data, lam).t_stat
+        t1 = run_test(scale * data, lam).t_stat
+        assert abs(t0 - t1) < 1e-10
 
     def test_fixed_loc_scale_variant(self):
         rng = np.random.default_rng(5)
