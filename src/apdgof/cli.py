@@ -175,7 +175,6 @@ def _cmd_simulate(args) -> int:
         delta = args.delta
     else:
         _check(args.delta is None, "--delta is only valid for simulate power")
-    _check(args.sigma > 0.0, "--sigma must be positive")
     try:
         loc_scale = LocationScale(args.mu, args.sigma)
     except DomainError as exc:
@@ -303,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="local-alternative direction d1,d2 (power only)")
     p_sim.add_argument("--mu", type=float, default=0.0, help="data-generating location")
     p_sim.add_argument("--sigma", type=float, default=1.0, help="data-generating scale")
-    p_sim.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="parallel workers (at most the available CPUs)")
     p_sim.add_argument("--json", action="store_true")
 
     p_tab = sub.add_parser("tables", help="covariance entries over a tail-exponent grid")

@@ -117,22 +117,19 @@ def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
 
 
 def _residuals(x: np.ndarray, mu: float, lam: float):
-    """``d = x - mu``, ``|d|`` and ``|d|^lam``, formed as the location solve forms them."""
+    """``d = x - mu``, ``|d|`` and ``|d|^(lam-1)``, formed as the location solve forms them."""
     d = x - mu
     ad = np.abs(d)
-    if lam == 1.0:
-        return d, ad, ad
-    if lam == 2.0:
-        return d, ad, d * d
-    return d, ad, ad ** (lam - 1.0) * ad
+    return d, ad, ad ** (lam - 1.0)
 
 
-def _fit_residuals(x: np.ndarray, lo: float, hi: float, lam: float):
-    """Null MLE on ``x`` (extremes ``lo``, ``hi``), with ``d = x - mu``, |d| and |d|^lam.
+def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
+    """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), then ``d``, |d|, |d|^(lam-1).
 
-    Off ``lam`` in {1, 2} the arrays are those of the solve's last pass.
+    The arrays are ``d = x - mu`` and its powers at the returned ``mu``: the
+    last pass's when a pass ends the solve, otherwise (lam in {1, 2}, or out
+    of passes) those of :func:`_residuals`.
     """
-    p = None
     if lam == 1.0:
         mu = float(np.median(x))
     elif lam == 2.0:
@@ -144,7 +141,7 @@ def _fit_residuals(x: np.ndarray, lo: float, hi: float, lam: float):
         # not under half the previous one means Newton cycles or walks the
         # rounding noise of s near the root: doubled, it lands past the root
         # and closes the bracket from the far side.  A step that rounds to mu
-        # moves one ulp instead.  Every break leaves the pass's arrays at mu.
+        # moves one ulp instead.
         mu = min(max(float(np.mean(x)), lo), hi)
         dx = hi - lo
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -158,7 +155,7 @@ def _fit_residuals(x: np.ndarray, lo: float, hi: float, lam: float):
                 elif s < 0.0:
                     hi = mu
                 else:
-                    break
+                    return mu, d, ad, p
                 ds = (lam - 1.0) * float((p / ad).sum())
                 h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
                 if 2.0 * abs(h) > abs(dx):
@@ -169,14 +166,15 @@ def _fit_residuals(x: np.ndarray, lo: float, hi: float, lam: float):
                 elif not lo < step < hi:
                     step = 0.5 * (lo + hi)
                 if step == lo or step == hi:
-                    break
+                    return mu, d, ad, p
                 dx, mu = step - mu, step
-            else:
-                p = None  # out of passes: the last p belongs to the previous mu
-    if p is None:
-        d, ad, adl = _residuals(x, mu, lam)
-    else:
-        adl = p * ad
+    return (mu, *_residuals(x, mu, lam))
+
+
+def _fit(x: np.ndarray, lo: float, hi: float, lam: float):
+    """Null MLE on ``x`` (extremes ``lo``, ``hi``), with ``d = x - mu``, |d| and |d|^lam."""
+    mu, d, ad, p = _locate(x, lo, hi, lam)
+    adl = p * ad
     sigma = (0.5 * lam * float(adl.sum()) / x.size) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")
@@ -196,12 +194,12 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     half the previous step, if it lands strictly inside the bracket, and
     bisects otherwise.  The solve stops when ``s == 0`` or when the bracket
     has closed to adjacent doubles.
-    Scale: ``((lam/2) mean(|x_i - mu|^lam))^(1/lam)``; off lam in {1, 2}
-    the powers are the solve's last ``|x_i - mu|^(lam-1)`` times
-    ``|x_i - mu|``, and :func:`run_test` scores from those same arrays.
+    Scale: ``((lam/2) mean(|x_i - mu|^lam))^(1/lam)``, the powers taken as
+    ``|x_i - mu|^(lam-1)`` (off lam in {1, 2} the solve's last) times
+    ``|x_i - mu|``; :func:`run_test` scores from those same arrays.
     """
     lam = check_lambda(lam)
-    return _fit_residuals(*_as_clean_data(data), lam)[0]
+    return _fit(*_as_clean_data(data), lam)[0]
 
 
 def _mean_shape_score(d, ad, adl, sigma: float, lam: float) -> np.ndarray:
@@ -231,10 +229,8 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
     averages its fit's own residuals with the same code.
     """
     lam = check_lambda(lam)
-    x = np.asarray(data, dtype=float).ravel()
-    if not fit.sigma > 0.0:
-        raise DegenerateSampleError("sigma must be positive")
-    return _mean_shape_score(*_residuals(x, fit.mu, lam), fit.sigma, lam)
+    d, ad, p = _residuals(np.asarray(data, dtype=float).ravel(), fit.mu, lam)
+    return _mean_shape_score(d, ad, p * ad, fit.sigma, lam)
 
 
 def fisher_information(lam: float) -> np.ndarray:
@@ -420,6 +416,6 @@ def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:
     """
     lam = check_lambda(lam)
     x, lo, hi = _as_clean_data(data)
-    fit, d, ad, adl = _fit_residuals(x, lo, hi, lam)
+    fit, d, ad, adl = _fit(x, lo, hi, lam)
     r = _mean_shape_score(d, ad, adl, fit.sigma, lam)
     return test_statistic(r, x.size, lam, alpha=alpha, fit=fit)

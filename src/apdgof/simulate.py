@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -229,13 +230,17 @@ def _study(
     """
     params = apd.ApdParams(*theta, mu=cfg.loc_scale.mu, sigma=cfg.loc_scale.sigma)
     block = partial(_replicate_block, params, cfg.lam, cfg.n, cfg.seed)
+    # A forking pool starts all max_workers processes on its first submit, so
+    # ask for no more than the CPUs this process may use, or than chunks.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     if workers <= 1:
         t, p = block(range(cfg.reps))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         indices = np.array_split(np.arange(cfg.reps), min(4 * workers, cfg.reps))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(indices))) as pool:
             t, p = np.concatenate(list(pool.map(block, indices)), axis=1)
     ok = np.isfinite(t)
     m = int(np.count_nonzero(ok))
@@ -335,30 +340,22 @@ def quadrature_fisher(lam: float) -> np.ndarray:
     return out
 
 
-def mle_rmse_study(
-    lam: float,
-    n: int,
-    reps: int,
-    seed: int,
-    loc_scale: LocationScale = LocationScale(0.0, 1.0),
-) -> tuple[float, float]:
+def mle_rmse_study(lam: float, n: int, reps: int, seed: int) -> tuple[float, float]:
     """Root-mean-square errors of the fitted location and scale under the null.
 
-    Used to verify the root-n consistency rate: the RMSE at sample size
-    ``16 n`` should be about a quarter of the RMSE at ``n``.  ``n``,
-    ``reps`` and ``seed`` follow the :class:`StudyConfig` rules and raise
-    :class:`ConfigError` where it would.
+    The data have location 0 and scale 1.  Used to verify the root-n
+    consistency rate: the RMSE at sample size ``16 n`` should be about a
+    quarter of the RMSE at ``n``.  ``n``, ``reps`` and ``seed`` follow the
+    :class:`StudyConfig` rules and raise :class:`ConfigError` where it would.
     """
     lam = check_lambda(lam)
-    cfg = StudyConfig(lam, n, reps, seed, loc_scale=loc_scale)
-    params = apd.ApdParams(
-        theta1=0.5, theta2=lam, mu=loc_scale.mu, sigma=loc_scale.sigma
-    )
+    cfg = StudyConfig(lam, n, reps, seed)
+    params = apd.ApdParams(theta1=0.5, theta2=lam)
     sq_mu = 0.0
     sq_sigma = 0.0
     for r in range(cfg.reps):
         rng = replicate_rng(cfg.seed, r)
         fit = fit_null_mle(apd.sample(params, cfg.n, rng), lam)
-        sq_mu += (fit.mu - loc_scale.mu) ** 2
-        sq_sigma += (fit.sigma - loc_scale.sigma) ** 2
+        sq_mu += fit.mu**2
+        sq_sigma += (fit.sigma - 1.0) ** 2
     return math.sqrt(sq_mu / cfg.reps), math.sqrt(sq_sigma / cfg.reps)

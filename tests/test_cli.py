@@ -550,6 +550,18 @@ class TestErrorMapping:
         assert proc.returncode == EXIT_INPUT
         assert str(path) in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--sigma", "0"), ("--sigma", "-1"), ("--sigma", "nan"), ("--mu", "inf")]
+    )
+    def test_bad_study_location_or_scale_is_usage_error(self, capsys, flag, value):
+        args = ("simulate", "size", "--lambda", "2", "--n", "16", "--reps", "100", flag, value)
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        proc = run_program(*args)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_USAGE
+
     def test_study_leaving_parameter_space_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "power", "--lambda", "2", "--n", "16",

@@ -336,6 +336,18 @@ class TestFitNullMle:
         else:
             assert abs(scores[0].sum()) <= 1e-6 * n
 
+    @pytest.mark.parametrize("loc,scale", [(0.0, 1.0), (1000.0, 50.0), (0.0, 1e-3)])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_closed_form_scale_is_bit_equal(self, lam, loc, scale):
+        # the closed-form locations take their powers as |d|^(lam-1) |d|,
+        # which is |d| at lam = 1 and d * d at lam = 2, bit for bit
+        rng = np.random.default_rng([round(loc), round(1000 * lam), 3])
+        x = apd.sample(apd.ApdParams(0.5, lam, loc, scale), 501, rng)
+        fit = fit_null_mle(x, lam)
+        d = x - fit.mu
+        powers = np.abs(d) if lam == 1.0 else d * d
+        assert fit.sigma == (0.5 * lam * float(powers.sum()) / x.size) ** (1.0 / lam)
+
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             fit_null_mle([1.0], 2.0)
@@ -712,10 +724,18 @@ class TestRunTest:
                     strict=True,
                     raises=(DegenerateSampleError, RuntimeWarning),
                     reason="|x - mu|^lam over- or underflows, so the fitted scale is "
-                    "inf or 0: the residual powers are not yet formed scale-safely",
+                    "inf or 0: the residual powers are not yet formed scale-safely "
+                    "(ROADMAP item 4)",
                 ),
             )
-            for lam, scale in [(3.0, 1e150), (2.0, 1e300), (2.0, 1e-300), (3.0, 1e-300)]
+            for lam, scale in [
+                (3.0, 1e150),
+                (2.0, 1e300),
+                (2.0, 1e-300),
+                (3.0, 1e-300),
+                (1.5, 1e300),
+                (1.5, 1e-300),
+            ]
         ],
     )
     def test_affine_invariance_at_extreme_scales(self, lam, scale):
@@ -724,6 +744,17 @@ class TestRunTest:
         t0 = run_test(data, lam).t_stat
         t1 = run_test(scale * data, lam).t_stat
         assert abs(t0 - t1) < 1e-10
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DegenerateSampleError,
+        reason="|x - mu|^lam over- or underflows unless every |x - mu| is about 1, "
+        "so the fitted scale is inf or 0 near the top of the lam range (ROADMAP item 4)",
+    )
+    @pytest.mark.parametrize("data", [[0.0, 1.0, 3.0], [0.0, 0.5, 1.0]])
+    def test_largest_lambdas(self, data):
+        rep = run_test(data, 5.5e102)
+        assert math.isfinite(rep.t_stat) and 0.0 <= rep.p_value <= 1.0
 
     def test_fixed_loc_scale_variant(self):
         rng = np.random.default_rng(5)

@@ -153,6 +153,38 @@ class TestNullStudy:
         b = run_null_study(self.CFG, workers=3)
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize("cpus,pools", [(1, []), (4, [4]), (512, [100])])
+    def test_pool_is_capped_at_cpus_and_chunks(self, monkeypatch, cpus, pools):
+        # A pool that forks starts all max_workers processes on its first
+        # submit, so a recording stand-in takes the pool's place here.
+        import concurrent.futures
+
+        from apdgof import simulate
+
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(
+            simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        cfg = StudyConfig(lam=2.0, n=16, reps=100, seed=1)
+        assert run_null_study(cfg, workers=10**6).to_json() == run_null_study(cfg).to_json()
+        assert seen == pools
+
     def test_delta_rejected(self):
         cfg = StudyConfig(lam=2.0, n=100, reps=100, seed=0, delta=(0.1, 0.1))
         with pytest.raises(ConfigError):
