@@ -209,12 +209,15 @@ def _mean_shape_score(d, ad, adl, sigma: float, lam: float) -> np.ndarray:
     weight ``|y|^lam`` is 0; lifting ``|y|`` there to the least positive
     double keeps ``|y|^lam log|y|`` at its limit 0.  For a huge ``sigma``,
     ``sigma^-lam`` underflows to 0 as ``|y|^lam`` would, where ``sigma^lam``
-    would overflow.
+    would overflow.  The weights are formed in ``adl``'s buffer, which is
+    overwritten.
     """
-    w = adl * np.power(sigma, -lam)
-    wlog = np.log(np.maximum(ad / sigma, math.ulp(0.0)))
+    w = np.multiply(adl, np.power(sigma, -lam), out=adl)
+    wlog = ad / sigma
+    np.maximum(wlog, math.ulp(0.0), out=wlog)
+    np.log(wlog, out=wlog)
     wlog *= w
-    r1 = -lam * float(np.copysign(w, d).sum()) / d.size
+    r1 = -lam * float(np.copysign(w, d, out=w).sum()) / d.size
     r2 = -0.5 * (float(wlog.sum()) / d.size - 2.0 / lam**2 * _nu(lam))
     return np.array([r1, r2])
 

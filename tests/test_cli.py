@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,22 @@ class TestTestCommand:
         clean = json.loads(clean_out)
         messy_rec = json.loads(messy_out)
         assert clean["results"] == messy_rec["results"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_piped_input_with_header(self, tmp_path):
+        # A parse that reopened or seeked the path would lose what the
+        # first read took from the pipe.
+        values = np.random.default_rng(2).standard_normal(500)
+        text = "".join(f"{v:.17g}\n" for v in values)
+        path = tmp_path / "plain.txt"
+        path.write_text(text)
+        plain = run_program("test", "--input", str(path), "--lambda", "2", timeout=60)
+        piped = run_program(
+            "test", "--input", "/dev/stdin", "--lambda", "2", timeout=60, input="# header\n" + text
+        )
+        assert plain.returncode == piped.returncode == EXIT_OK
+        assert "n=500" in plain.stdout
+        assert piped.stdout == plain.stdout
 
     def test_garbled_token(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -395,7 +412,12 @@ def assert_parses_like_reference(path: Path, content: bytes):
     """Write ``content`` to ``path``; both parsers must agree bit for bit, or in message."""
     path.write_bytes(content)
     kind, got = _outcome(read_values, str(path))
-    ref_kind, want = _outcome(reference_read_values, str(path))
+    try:
+        ref_kind, want = _outcome(reference_read_values, str(path))
+    except UnicodeDecodeError as exc:
+        # The oracle decodes the whole file at once, so exc.start is a file offset.
+        ref_kind = "error"
+        want = f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
     assert kind == ref_kind, (got, want)
     if kind == "values":
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -431,6 +453,14 @@ INPUT_CORPUS = {
     "bad-text-first": (b"1\nabc\n3 4\ninf\n", ":2: not a decimal: 'abc'"),
     "bad-pair-first": (b"1\n3 4\nabc\ninf\n", ":2: expected one value per line"),
     "bad-inf-first": (b"# h\n\n1\ninf\nabc\n3 4\n", ":4: value is not finite: 'inf'"),
+    # A stream that dropped whole '#' lines would lose the 1.5 after the form feed.
+    "comment-then-form-feed": (b"# c\x0c1.5\n2\n", [1.5, 2.0]),
+    "trailing-empty-line": (b"1\n2\n\n", [1.0, 2.0]),
+    "trailing-next-line": ("1\x85\n2\n".encode(), [1.0, 2.0]),
+    # The byte is named by its offset in the file, not in a decoded chunk.
+    "late-bad-byte": (
+        b"1\n" * 10_000 + b"\xff", ": not UTF-8 text (byte 20000: invalid start byte)"
+    ),
 }
 
 
@@ -444,7 +474,7 @@ class TestReadValues:
         kind, got = assert_parses_like_reference(path, content)
         if isinstance(expected, str):
             assert kind == "error"
-            assert got == f"{path}{expected}"
+            assert got in (f"{path}{expected}", f"cannot read {path}{expected}")
         else:
             assert kind == "values"
             assert got.tobytes() == np.array(expected).tobytes()
@@ -468,7 +498,7 @@ class TestReadValues:
             ),
             max_size=2,
         ),
-        sep=st.sampled_from(["\n", "\r\n", "\r"]),
+        sep=st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]),
         final_sep=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
@@ -478,6 +508,22 @@ class TestReadValues:
         text = sep.join(lines) + (sep if final_sep and lines else "")
         path = tmp_path_factory.mktemp("random") / "input.txt"
         assert_parses_like_reference(path, text.encode())
+
+    def test_plain_file_parse_memory(self, tmp_path):
+        # The line pass held the text, its line list and a token list: 4.8x
+        # the file's bytes at 20 000 values.
+        values = np.random.default_rng(5).standard_normal(20_000)
+        path = tmp_path / "plain.txt"
+        path.write_text("".join(f"{v:.17g}\n" for v in values))
+        read_values(str(path))
+        tracemalloc.start()
+        try:
+            got = read_values(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == values.tobytes()
+        assert peak < 2 * path.stat().st_size
 
 
 class TestUsageBasics:
@@ -491,13 +537,14 @@ class TestUsageBasics:
         assert run_cli(capsys, "test", "--lambda", "1")[0] == EXIT_USAGE
 
 
-def run_program(*argv, timeout=300):
-    """Run ``python -m apdgof.cli`` in a fresh interpreter."""
+def run_program(*argv, timeout=300, input=None):
+    """Run ``python -m apdgof.cli`` in a fresh interpreter, ``input`` on its stdin."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "apdgof.cli", *argv],
         env=env,
+        input=input,
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -537,6 +584,26 @@ class TestErrorMapping:
             )
         assert code == EXIT_NUMERIC
         assert "numerical failure" in err
+
+    # 1e15 float64 values take 7.11 PiB, more than the address space, so the
+    # allocation fails before any page is touched.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--theta1", "0.5", "--theta2", "2", "--n", "1000000000000000",
+             "--output", "{tmp}/x.txt"),
+            ("simulate", "size", "--lambda", "2", "--n", "1000000000000000", "--reps", "100"),
+        ],
+    )
+    def test_allocation_failure_is_numerical_failure(self, capsys, tmp_path, argv):
+        args = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_NUMERIC
+        assert out == "" and err.startswith("error: out of memory:")
+        proc = run_program(*args, timeout=60)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr.startswith("error: out of memory:")
 
     def test_undecodable_input_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"
