@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import gamma_sample
+from .numerics import _check_count, _check_fields, gamma_sample
 
 _LOG2 = math.log(2.0)
 # Where the incomplete-gamma argument t falls below this, e^-t and the
@@ -45,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ApdParams:
-    """APD parameter vector (asymmetry, tail exponent, location, scale)."""
+    """APD parameter vector (asymmetry, tail exponent, location, scale), stored as floats."""
 
     theta1: float
     theta2: float
@@ -53,21 +53,14 @@ class ApdParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        for name in ("theta1", "theta2", "mu", "sigma"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"{name} must be a finite real, got {v!r}")
+        _check_fields(self, ("theta1", "theta2", "mu", "sigma"), positive=("theta2", "sigma"))
         if not 0.0 < self.theta1 < 1.0:
             raise DomainError(f"theta1 must lie in (0, 1), got {self.theta1}")
-        if not self.theta2 > 0.0:
-            raise DomainError(f"theta2 must be positive, got {self.theta2}")
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)
 class SepdParams:
-    """Skewed exponential power parameters (skewness, tail, location, scale)."""
+    """Skewed exponential power parameters (skewness, tail, location, scale), stored as floats."""
 
     gamma: float
     q: float
@@ -75,16 +68,7 @@ class SepdParams:
     s: float = 1.0
 
     def __post_init__(self):
-        for name in ("gamma", "q", "m", "s"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"{name} must be a finite real, got {v!r}")
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if not self.q > 0.0:
-            raise DomainError(f"q must be positive, got {self.q}")
-        if not self.s > 0.0:
-            raise DomainError(f"s must be positive, got {self.s}")
+        _check_fields(self, ("gamma", "q", "m", "s"), positive=("gamma", "q", "s"))
 
 
 def _log_delta(theta1: float, theta2: float) -> float:
@@ -202,9 +186,7 @@ def sample(p: ApdParams, n: int, rng: np.random.Generator) -> np.ndarray:
     Kolmogorov-Smirnov tests.  Raises :class:`DomainError` when a draw
     overflows (tiny ``theta2``).
     """
-    if n % 1 != 0 or n < 0:  # n % 1 is NaN for a NaN or infinite n
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _check_count("n", n, 0, DomainError)
     if n == 0:
         return np.empty(0)
     t1, t2 = p.theta1, p.theta2

@@ -23,7 +23,7 @@ import numpy as np
 from . import apd
 from .errors import ApdGofError, ConfigError, DegenerateSampleError, DomainError
 from .score import LocationScale, check_lambda, fisher_information, run_test, score_covariance
-from .simulate import _SCHEMA_VERSION, StudyConfig, run_local_alternative_study, run_null_study
+from .simulate import _SCHEMA_VERSION, StudyConfig, _check_seed, run_local_alternative_study, run_null_study
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -256,18 +256,14 @@ def _parse_grid(text: str) -> list[float]:
     _check_lambda(stop, "--lambda-grid stop")
     _check(stop >= start, "--lambda-grid stop must be >= start")
     _check(math.isfinite(step) and step > 0.0, "--lambda-grid step must be positive and finite")
-    # Row k is start + k*step while it stays <= limit.  Rows never decrease
-    # in k, so count is exact once row count-1 is in and row count is out.
-    # Where rounding bites the ratio is a row or two off; the loops mend it
-    # without walking past the cap.
+    # Row k is start + k*step while it stays <= stop (with slack).  The cap
+    # also ends a grid whose rows round to start for every k.
     limit = stop * (1.0 + 1e-12) + 1e-12
-    count = int(min((limit - start) / step, _GRID_CAP)) + 1
-    while start + (count - 1) * step > limit:
-        count -= 1
-    while count <= _GRID_CAP and start + count * step <= limit:
-        count += 1
-    _check(count <= _GRID_CAP, f"--lambda-grid must have at most {_GRID_CAP} rows")
-    return [start + k * step for k in range(count)]
+    grid = []
+    while (lam := start + len(grid) * step) <= limit:
+        _check(len(grid) < _GRID_CAP, f"--lambda-grid must have at most {_GRID_CAP} rows")
+        grid.append(lam)
+    return grid
 
 
 def _cmd_tables(args) -> int:
@@ -290,7 +286,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_sample(args) -> int:
     _check(args.n >= 1, "--n must be >= 1")
-    _check(args.seed >= 0, "--seed must be nonnegative")
+    _check_seed(args.seed)
     try:
         params = apd.ApdParams(
             theta1=args.theta1, theta2=args.theta2, mu=args.mu, sigma=args.sigma

@@ -1,4 +1,4 @@
-"""Probability kernels used by the rest of the package.
+"""Probability kernels, and the argument rules shared by the rest of the package.
 
 The chi-square(2) law of the test statistic T (central under the null,
 noncentral under local alternatives), the gamma-variate sampler and
@@ -8,7 +8,8 @@ adaptive quadrature are validated wrappers around closed forms,
 central law is closed-form, ``scipy.special`` loads on the first
 noncentral call, and ``scipy.integrate`` (with the ``scipy.optimize``,
 ``scipy.sparse`` and ``scipy.linalg`` it pulls in) on the first call to
-:func:`integrate`.
+:func:`integrate`.  The ``_check_*`` helpers hold the argument rules
+the other modules share, each written once.
 """
 
 from __future__ import annotations
@@ -28,9 +29,32 @@ __all__ = [
     "integrate",
 ]
 
+_REALS = (float, int, np.floating, np.integer)
 # Absolute and relative error target, and subdivision cap, of :func:`integrate`.
 _QUAD_TOL = 1e-10
 _QUAD_LIMIT = 200
+
+
+def _check_fields(obj, names: tuple[str, ...], positive: tuple[str, ...] = ()) -> None:
+    """Store the fields ``names`` of the frozen dataclass ``obj`` as floats.
+
+    Each must be a finite Python or numpy int or float, those in ``positive`` above 0.
+    """
+    for name in names:
+        v = getattr(obj, name)
+        if not (isinstance(v, _REALS) and math.isfinite(v)):
+            raise DomainError(f"{name} must be a finite real, got {v!r}")
+        if name in positive and not v > 0.0:
+            raise DomainError(f"{name} must be positive, got {v!r}")
+        if type(v) is not float:  # skipped for a float: a LocationScale is built per replicate
+            object.__setattr__(obj, name, float(v))
+
+
+def _check_count(name: str, value, least: int, error: type[Exception]) -> int:
+    """``value`` as an int, if it is a whole number ``>= least``; else ``error``."""
+    if value % 1 != 0 or value < least:  # value % 1 is NaN for a NaN or infinite value
+        raise error(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
 
 
 def _check_positive(x: float, name: str) -> float:
@@ -101,9 +125,7 @@ def gamma_sample(
     shape = _check_positive(shape, "shape")
     if size is None:
         return float(rng.standard_gamma(shape))
-    if size % 1 != 0 or size < 0:  # size % 1 is NaN for a NaN or infinite size
-        raise DomainError(f"size must be a nonnegative integer, got {size}")
-    return rng.standard_gamma(shape, int(size))
+    return rng.standard_gamma(shape, _check_count("size", size, 0, DomainError))
 
 
 def integrate(f: Callable[[float], float], domain: tuple[float, float]) -> float:

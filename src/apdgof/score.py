@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError
-from .numerics import chi2_quantile, chi2_sf, noncentral_chi2_sf
+from .numerics import _check_count, _check_fields, chi2_quantile, chi2_sf, noncentral_chi2_sf
 
 __all__ = [
     "LocationScale",
@@ -42,16 +42,13 @@ _PSI1_TERMS = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 @dataclass(frozen=True)
 class LocationScale:
-    """A location/scale pair, e.g. the null maximum likelihood estimates."""
+    """A location/scale pair, e.g. the null maximum likelihood estimates, stored as floats."""
 
     mu: float
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise DomainError("location and scale must be finite")
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        _check_fields(self, ("mu", "sigma"), positive=("sigma",))
 
 
 @dataclass(frozen=True)
@@ -87,19 +84,22 @@ def stacked_scores(y, lam: float):
     ``-(|y|^lam log|y| - (2/lam^2)(log 2 + psi(1 + 1/lam))) / 2``, then the
     standardized location and scale scores ``(lam/2) |y|^(lam-1) sign(y)``
     and ``(lam/2) |y|^lam - 1``.  At ``y = 0`` the ``|y|^lam log|y|`` factor
-    takes its limit value 0, and ``sign(0) := 0`` keeps the location row 0
-    even for ``lam = 1``.
+    takes its limit value 0 (:func:`_lifted_log`), and ``sign(0) := 0`` keeps
+    the location row 0 even for ``lam = 1``.
     """
     lam = check_lambda(lam)
     y = np.asarray(y, dtype=float)
     ay = np.abs(y)
     sgn = np.sign(y)
     pw = ay**lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pw_log = np.where(ay > 0.0, pw * np.log(ay), 0.0)
-    shape = (-lam * pw * sgn, -0.5 * (pw_log - 2.0 / lam**2 * _nu(lam)))
+    shape = (-lam * pw * sgn, -0.5 * (pw * _lifted_log(ay) - 2.0 / lam**2 * _nu(lam)))
     loc_scale = (0.5 * lam * ay ** (lam - 1.0) * sgn, 0.5 * lam * pw - 1.0)
     return np.stack([*shape, *loc_scale])
+
+
+def _lifted_log(a, out=None):
+    """``log(a)``, ``a >= 0``, with 0 lifted to 5e-324: ``a^lam log(a)`` keeps its limit 0 there."""
+    return np.log(np.maximum(a, math.ulp(0.0), out=out), out=out)
 
 
 def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
@@ -117,7 +117,7 @@ def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
 
 
 def _residuals(x: np.ndarray, mu: float, lam: float):
-    """``d = x - mu``, ``|d|`` and ``|d|^(lam-1)``, formed as the location solve forms them."""
+    """``d = x - mu``, ``|d|`` and ``|d|^(lam-1)``: the residual powers of every fit and score."""
     d = x - mu
     ad = np.abs(d)
     return d, ad, ad ** (lam - 1.0)
@@ -146,9 +146,7 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
         dx = hi - lo
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(_ROOT_MAX_ITER):
-                d = x - mu
-                ad = np.abs(d)
-                p = ad ** (lam - 1.0)
+                d, ad, p = _residuals(x, mu, lam)
                 s = float(np.copysign(p, d).sum())
                 if s > 0.0:
                     lo = mu
@@ -168,6 +166,7 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
                 if step == lo or step == hi:
                     return mu, d, ad, p
                 dx, mu = step - mu, step
+                del d, ad, p  # so the next pass's arrays do not stack on these
     return (mu, *_residuals(x, mu, lam))
 
 
@@ -206,16 +205,15 @@ def _mean_shape_score(d, ad, adl, sigma: float, lam: float) -> np.ndarray:
     """Mean shape score (rows 0-1 of :func:`stacked_scores`) at ``y = d / sigma``.
 
     ``ad`` and ``adl`` are ``|d|`` and ``|d|^lam``.  Where ``d == 0`` the
-    weight ``|y|^lam`` is 0; lifting ``|y|`` there to the least positive
-    double keeps ``|y|^lam log|y|`` at its limit 0.  For a huge ``sigma``,
+    weight ``|y|^lam`` is 0, and :func:`_lifted_log` keeps
+    ``|y|^lam log|y|`` at its limit 0.  For a huge ``sigma``,
     ``sigma^-lam`` underflows to 0 as ``|y|^lam`` would, where ``sigma^lam``
     would overflow.  The weights are formed in ``adl``'s buffer, which is
     overwritten.
     """
     w = np.multiply(adl, np.power(sigma, -lam), out=adl)
     wlog = ad / sigma
-    np.maximum(wlog, math.ulp(0.0), out=wlog)
-    np.log(wlog, out=wlog)
+    _lifted_log(wlog, out=wlog)
     wlog *= w
     r1 = -lam * float(np.copysign(w, d, out=w).sum()) / d.size
     r2 = -0.5 * (float(wlog.sum()) / d.size - 2.0 / lam**2 * _nu(lam))
@@ -349,6 +347,13 @@ def _check_alpha(alpha) -> float:
     return alpha
 
 
+def _check_delta(delta) -> np.ndarray:
+    d = np.asarray(delta, dtype=float).ravel()
+    if d.size != 2 or not np.isfinite(d).all():
+        raise DomainError(f"delta must be a finite 2-vector, got {delta}")
+    return d
+
+
 def test_statistic(
     score: np.ndarray,
     n: int,
@@ -366,9 +371,7 @@ def test_statistic(
     lam = check_lambda(lam)
     if alpha is not None:
         alpha = _check_alpha(alpha)
-    if n % 1 != 0 or n < 2:  # n % 1 is NaN for a NaN or infinite n
-        raise DomainError(f"n must be an integer >= 2, got {n}")
-    n = int(n)
+    n = _check_count("n", n, 2, DomainError)
     r = np.asarray(score, dtype=float).ravel()
     if r.size != 2:
         raise DomainError(f"score must have 2 entries, got {r.size}")
@@ -391,9 +394,7 @@ def test_statistic(
 def noncentrality(delta, lam: float) -> float:
     """Noncentrality ``delta' Sigma delta`` of a finite local shape drift ``delta``."""
     lam = check_lambda(lam)
-    d = np.asarray(delta, dtype=float).ravel()
-    if d.size != 2 or not np.isfinite(d).all():
-        raise DomainError(f"delta must be a finite 2-vector, got {delta}")
+    d = _check_delta(delta)
     s11, s22 = _score_cov_diag(lam)
     return float(s11 * d[0] ** 2 + s22 * d[1] ** 2)
 

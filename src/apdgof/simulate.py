@@ -20,9 +20,11 @@ import numpy as np
 
 from . import apd
 from .errors import ConfigError, DegenerateSampleError, DomainError
-from .numerics import _chi2_cdf, integrate
+from .numerics import _check_count, _chi2_cdf, integrate
 from .score import (
     LocationScale,
+    _check_alpha,
+    _check_delta,
     asymptotic_power,
     check_lambda,
     fit_null_mle,
@@ -48,16 +50,12 @@ __all__ = [
 _SCHEMA_VERSION = "1"
 
 
-def _check_count(name: str, value, least: int) -> int:
-    if value % 1 != 0 or value < least:  # value % 1 is NaN for a NaN or infinite value
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value}")
-    return int(value)
-
-
 def _check_seed(seed) -> int:
-    if seed % 1 != 0 or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
+    """``seed`` as an int, if it is a 64-bit unsigned integer; else :class:`ConfigError`."""
+    seed = _check_count("seed", seed, 0, ConfigError)
+    if seed >= 2**64:
+        raise ConfigError(f"seed must be below 2**64, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,10 @@ class StudyConfig:
     ``delta`` is the local-alternative direction for the shape pair; leave it
     ``None`` for a null (size) study.  ``loc_scale`` sets the location and
     scale used to generate the data.  The validated values are stored:
-    ``lam`` as a float, ``n``, ``reps`` and ``seed`` as ints.
+    ``lam`` as a float, ``n``, ``reps`` and ``seed`` as ints, ``alpha_grid``
+    and ``delta`` as tuples of floats, and ``loc_scale`` as the given
+    :class:`LocationScale`, whose fields are floats.  An invalid field
+    raises :class:`ConfigError`.
     """
 
     lam: float
@@ -80,26 +81,23 @@ class StudyConfig:
 
     def __post_init__(self):
         try:
-            lam = check_lambda(self.lam)
-        except Exception as exc:
+            fields = {
+                "lam": check_lambda(self.lam),
+                "n": _check_count("n", self.n, 10, ConfigError),
+                "reps": _check_count("reps", self.reps, 100, ConfigError),
+                "seed": _check_seed(self.seed),
+                "alpha_grid": tuple(map(_check_alpha, self.alpha_grid)),
+                "delta": None if self.delta is None else tuple(_check_delta(self.delta).tolist()),
+            }
+        except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
             raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "n", _check_count("n", self.n, 10))
-        object.__setattr__(self, "reps", _check_count("reps", self.reps, 100))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        alphas = tuple(float(a) for a in self.alpha_grid)
-        if not alphas:
-            raise ConfigError("alpha_grid must be nonempty")
-        if any(not 0.0 < a < 1.0 for a in alphas):
-            raise ConfigError(f"alpha levels must lie in (0, 1), got {alphas}")
-        if len(set(alphas)) != len(alphas):
-            raise ConfigError(f"alpha levels must be distinct, got {alphas}")
-        object.__setattr__(self, "alpha_grid", alphas)
-        if self.delta is not None:
-            d = tuple(float(v) for v in self.delta)
-            if len(d) != 2 or not all(math.isfinite(v) for v in d):
-                raise ConfigError(f"delta must be a finite 2-vector, got {self.delta}")
-            object.__setattr__(self, "delta", d)
+        alphas = fields["alpha_grid"]
+        if not alphas or len(set(alphas)) != len(alphas):
+            raise ConfigError(f"alpha_grid must hold one or more distinct levels, got {alphas}")
+        if not isinstance(self.loc_scale, LocationScale):
+            raise ConfigError(f"loc_scale must be a LocationScale, got {self.loc_scale!r}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def shifted_shape(self) -> tuple[float, float]:
         """Shape pair ``(1/2, lam) + delta / sqrt(n)`` of the alternative."""
@@ -295,7 +293,7 @@ def mc_fisher_check(lam: float, n_draws: int, seed: int) -> McFisherCheck:
     raise :class:`ConfigError` otherwise.
     """
     lam = check_lambda(lam)
-    n_draws = _check_count("n_draws", n_draws, 10**5)
+    n_draws = _check_count("n_draws", n_draws, 10**5, ConfigError)
     seed = _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     y = apd.sample(apd.ApdParams(theta1=0.5, theta2=lam), n_draws, rng)

@@ -71,6 +71,27 @@ class TestParams:
         with pytest.raises(DomainError):
             ApdParams(**kwargs)
 
+    def test_numpy_float_is_stored_as_float(self):
+        # only Python ints and floats passed the field check before
+        p = ApdParams(np.float32(0.3), 2.0)
+        assert type(p.theta1) is float and p.theta1 == float(np.float32(0.3))
+
+    def test_numpy_int_tail_exponent_samples(self):
+        x = sample(ApdParams(0.5, np.int64(2)), 50, np.random.default_rng(4))
+        assert np.array_equal(x, sample(ApdParams(0.5, 2.0), 50, np.random.default_rng(4)))
+
+    def test_sepd_numpy_float(self):
+        assert SepdParams(np.float32(1.0), 2.0) == SepdParams(1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "theta2", ["2", None, 2j, np.complex128(2.0), np.array(2.0), np.array([2.0])]
+    )
+    def test_non_real_field_is_refused(self, theta2):
+        # math.isfinite alone takes a numpy complex (a ComplexWarning) and,
+        # before numpy 2.4, a one-element array (a DeprecationWarning)
+        with pytest.raises(DomainError):
+            ApdParams(0.5, theta2)
+
     def test_sepd_invalid(self):
         for kwargs in (
             dict(gamma=0.0, q=1.0),

@@ -210,6 +210,14 @@ class TestSimulateCommand:
         _, second, _ = run_cli(capsys, *self.ARGS, "--workers", "2")
         assert first == second
 
+    def test_seed_beyond_64_bits_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "size", "--lambda", "2", "--n", "200",
+            "--reps", "100", "--seed", str(2**64),
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "seed" in err
+
     def test_power_requires_delta(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "power", "--lambda", "2", "--n", "64",
@@ -359,6 +367,17 @@ class TestSampleCommand:
             "--n", "0", "--output", str(tmp_path / "x.txt"),
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, tmp_path, seed):
+        # 2**64 was written out: only a negative seed was refused
+        out = tmp_path / "x.txt"
+        code, _, err = run_cli(
+            capsys, "sample", "--theta1", "0.5", "--theta2", "2",
+            "--n", "5", "--seed", seed, "--output", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert "seed" in err and not out.exists()
 
     def test_bad_theta1(self, capsys, tmp_path):
         code, _, _ = run_cli(

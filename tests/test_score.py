@@ -251,6 +251,19 @@ class TestScoreDerivativeOracle:
             )
 
 
+class TestLocationScale:
+    def test_numpy_ints_are_stored_as_floats(self):
+        fit = LocationScale(np.int64(5), np.int64(2))
+        assert (type(fit.mu), type(fit.sigma)) == (float, float)
+        assert fit == LocationScale(5.0, 2.0)
+
+    @pytest.mark.parametrize("mu", ["1", None, 1j, np.array([1.0])])
+    def test_non_real_is_domain_error(self, mu):
+        # a str or None raised a bare TypeError from math.isfinite
+        with pytest.raises(DomainError):
+            LocationScale(mu, 1)
+
+
 class TestFitNullMle:
     def test_normal_case(self):
         fit = fit_null_mle([0.0, 2.0], 2.0)

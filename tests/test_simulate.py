@@ -75,6 +75,28 @@ class TestStudyConfig:
         assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.seed))
         assert run_null_study(cfg).to_json() == run_null_study(StudyConfig(**base)).to_json()
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # a bare TypeError or OverflowError before
+            dict(alpha_grid=0.05),
+            dict(delta=0.5),
+            dict(alpha_grid=(10**400,)),
+            dict(delta=(10**400, 0.0)),
+            # constructed, then the study raised AttributeError
+            dict(loc_scale=(0.0, 1.0)),
+        ],
+    )
+    def test_malformed_field_fails_at_construction(self, kwargs):
+        with pytest.raises(ConfigError):
+            StudyConfig(2.0, 100, 100, 1, **kwargs)
+
+    def test_numpy_int_loc_scale_matches_floats(self):
+        # numpy ints reached ApdParams as given, and every replicate failed
+        ints = StudyConfig(2.0, 100, 100, 7, loc_scale=LocationScale(np.int64(5), np.int64(2)))
+        floats = StudyConfig(2.0, 100, 100, 7, loc_scale=LocationScale(5.0, 2.0))
+        assert run_null_study(ints).to_json() == run_null_study(floats).to_json()
+
     def test_shifted_shape_leaving_space(self):
         # theta1 drift of -6/sqrt(100) pushes the asymmetry below 0
         cfg = StudyConfig(lam=1.0, n=100, reps=100, seed=0, delta=(-6.0, 0.0))
