@@ -35,6 +35,16 @@ _QUAD_TOL = 1e-10
 _QUAD_LIMIT = 200
 
 
+def _as_float(value, name: str) -> float:
+    """``float(value)``, where an int beyond the double range is a :class:`DomainError`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(
+            f"{name} must be a finite real, got an int beyond the double range"
+        ) from None
+
+
 def _check_fields(obj, names: tuple[str, ...], positive: tuple[str, ...] = ()) -> None:
     """Store the fields ``names`` of the frozen dataclass ``obj`` as floats.
 
@@ -42,7 +52,7 @@ def _check_fields(obj, names: tuple[str, ...], positive: tuple[str, ...] = ()) -
     """
     for name in names:
         v = getattr(obj, name)
-        if not (isinstance(v, _REALS) and math.isfinite(v)):
+        if not (isinstance(v, _REALS) and math.isfinite(_as_float(v, name))):
             raise DomainError(f"{name} must be a finite real, got {v!r}")
         if name in positive and not v > 0.0:
             raise DomainError(f"{name} must be positive, got {v!r}")
@@ -58,14 +68,14 @@ def _check_count(name: str, value, least: int, error: type[Exception]) -> int:
 
 
 def _check_positive(x: float, name: str) -> float:
-    x = float(x)
+    x = _as_float(x, name)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be a positive finite real, got {x}")
     return x
 
 
 def _check_nonneg(x: float, name: str) -> float:
-    x = float(x)
+    x = _as_float(x, name)
     if not (math.isfinite(x) and x >= 0):
         raise DomainError(f"{name} must be a nonnegative finite real, got {x}")
     return x
@@ -78,7 +88,7 @@ def chi2_sf(x: float) -> float:
 
 def chi2_quantile(p: float) -> float:
     """Quantile of the chi-square(2) law: ``chi2_sf(-2 log(1 - p)) == 1 - p``."""
-    p = float(p)
+    p = _as_float(p, "p")
     if not (math.isfinite(p) and 0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p}")
     return -2.0 * math.log1p(-p)

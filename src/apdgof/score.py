@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError
-from .numerics import _check_count, _check_fields, chi2_quantile, chi2_sf, noncentral_chi2_sf
+from .numerics import (
+    _as_float,
+    _check_count,
+    _check_fields,
+    chi2_quantile,
+    chi2_sf,
+    noncentral_chi2_sf,
+)
 
 __all__ = [
     "LocationScale",
@@ -70,7 +77,7 @@ def check_lambda(lam: float) -> float:
 
     The closed forms divide by ``lam^3``, which overflows from about 5.6e102.
     """
-    lam = float(lam)
+    lam = _as_float(lam, "lam")
     if not (lam >= 1.0 and math.isfinite(lam * lam * lam)):
         raise DomainError(f"lam must be >= 1 with a finite cube (up to ~5.64e102), got {lam}")
     return lam
@@ -116,20 +123,29 @@ def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
     return x, lo, hi
 
 
-def _residuals(x: np.ndarray, mu: float, lam: float):
-    """``d = x - mu``, ``|d|`` and ``|d|^(lam-1)``: the residual powers of every fit and score."""
-    d = x - mu
-    ad = np.abs(d)
+def _residuals(x: np.ndarray, mu: float, lam: float, d=None, ad=None):
+    """``d = x - mu``, ``|d|`` and ``|d|^(lam-1)``: the residual powers of every fit and score.
+
+    ``d`` and ``|d|`` are written into the buffers ``d`` and ``ad`` when given.
+    The power is a fresh ``**``: ``np.power(..., out=)`` skips its square-root
+    fast path, which halves the time of a pass at lam = 1.5.
+    """
+    d = np.subtract(x, mu, out=d)
+    ad = np.abs(d, out=ad)
     return d, ad, ad ** (lam - 1.0)
 
 
 def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), then ``d``, |d|, |d|^(lam-1).
 
-    The arrays are ``d = x - mu`` and its powers at the returned ``mu``: the
-    last pass's when a pass ends the solve, otherwise (lam in {1, 2}, or out
-    of passes) those of :func:`_residuals`.
+    The arrays are ``d = x - mu`` and its powers at the returned ``mu``.  The
+    solve forms ``d`` and ``|d|`` in two buffers it allocates once and writes
+    its sums' terms over them; when a pass ends the solve, both are formed
+    again in those buffers and the last pass's ``|d|^(lam-1)`` is kept.  Out
+    of passes, the power is formed again too; for lam in {1, 2} all three
+    come from :func:`_residuals`.  So the solve holds ``x`` plus three arrays.
     """
+    d = ad = None
     if lam == 1.0:
         mu = float(np.median(x))
     elif lam == 2.0:
@@ -144,17 +160,19 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
         # moves one ulp instead.
         mu = min(max(float(np.mean(x)), lo), hi)
         dx = hi - lo
+        d, ad = np.empty_like(x), np.empty_like(x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(_ROOT_MAX_ITER):
-                d, ad, p = _residuals(x, mu, lam)
-                s = float(np.copysign(p, d).sum())
+                p = None  # the last pass's power goes before this pass forms its own
+                d, ad, p = _residuals(x, mu, lam, d, ad)
+                s = float(np.copysign(p, d, out=d).sum())
                 if s > 0.0:
                     lo = mu
                 elif s < 0.0:
                     hi = mu
                 else:
-                    return mu, d, ad, p
-                ds = (lam - 1.0) * float((p / ad).sum())
+                    break
+                ds = (lam - 1.0) * float(np.divide(p, ad, out=ad).sum())
                 h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
                 if 2.0 * abs(h) > abs(dx):
                     h *= 2.0
@@ -164,16 +182,23 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
                 elif not lo < step < hi:
                     step = 0.5 * (lo + hi)
                 if step == lo or step == hi:
-                    return mu, d, ad, p
+                    break
                 dx, mu = step - mu, step
-                del d, ad, p  # so the next pass's arrays do not stack on these
-    return (mu, *_residuals(x, mu, lam))
+            else:
+                p = None  # out of passes: the last power was formed at the previous mu
+            if p is not None:
+                np.abs(np.subtract(x, mu, out=d), out=ad)
+                return mu, d, ad, p
+    return (mu, *_residuals(x, mu, lam, d, ad))
 
 
 def _fit(x: np.ndarray, lo: float, hi: float, lam: float):
-    """Null MLE on ``x`` (extremes ``lo``, ``hi``), with ``d = x - mu``, |d| and |d|^lam."""
+    """Null MLE on ``x`` (extremes ``lo``, ``hi``), with ``d = x - mu``, |d| and |d|^lam.
+
+    ``|d|^lam`` is formed in the buffer of :func:`_locate`'s ``|d|^(lam-1)``.
+    """
     mu, d, ad, p = _locate(x, lo, hi, lam)
-    adl = p * ad
+    adl = np.multiply(p, ad, out=p)
     sigma = (0.5 * lam * float(adl.sum()) / x.size) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")
@@ -208,11 +233,11 @@ def _mean_shape_score(d, ad, adl, sigma: float, lam: float) -> np.ndarray:
     weight ``|y|^lam`` is 0, and :func:`_lifted_log` keeps
     ``|y|^lam log|y|`` at its limit 0.  For a huge ``sigma``,
     ``sigma^-lam`` underflows to 0 as ``|y|^lam`` would, where ``sigma^lam``
-    would overflow.  The weights are formed in ``adl``'s buffer, which is
-    overwritten.
+    would overflow.  Both ``ad`` and ``adl`` are overwritten: ``|y|`` and
+    its log are formed in ``ad``'s buffer, the weights in ``adl``'s.
     """
     w = np.multiply(adl, np.power(sigma, -lam), out=adl)
-    wlog = ad / sigma
+    wlog = np.divide(ad, sigma, out=ad)
     _lifted_log(wlog, out=wlog)
     wlog *= w
     r1 = -lam * float(np.copysign(w, d, out=w).sum()) / d.size
@@ -231,7 +256,7 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
     """
     lam = check_lambda(lam)
     d, ad, p = _residuals(np.asarray(data, dtype=float).ravel(), fit.mu, lam)
-    return _mean_shape_score(d, ad, p * ad, fit.sigma, lam)
+    return _mean_shape_score(d, ad, np.multiply(p, ad, out=p), fit.sigma, lam)
 
 
 def fisher_information(lam: float) -> np.ndarray:
@@ -341,15 +366,18 @@ def score_covariance(lam: float) -> np.ndarray:
 
 
 def _check_alpha(alpha) -> float:
-    alpha = float(alpha)
+    alpha = _as_float(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     return alpha
 
 
 def _check_delta(delta) -> np.ndarray:
-    d = np.asarray(delta, dtype=float).ravel()
-    if d.size != 2 or not np.isfinite(d).all():
+    try:
+        d = np.asarray(delta, dtype=float).ravel()
+    except OverflowError:  # an int beyond the double range
+        d = None
+    if d is None or d.size != 2 or not np.isfinite(d).all():
         raise DomainError(f"delta must be a finite 2-vector, got {delta}")
     return d
 

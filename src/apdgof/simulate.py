@@ -89,7 +89,7 @@ class StudyConfig:
                 "alpha_grid": tuple(map(_check_alpha, self.alpha_grid)),
                 "delta": None if self.delta is None else tuple(_check_delta(self.delta).tolist()),
             }
-        except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         alphas = fields["alpha_grid"]
         if not alphas or len(set(alphas)) != len(alphas):

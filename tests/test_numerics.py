@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from scipy import special as sc
 from scipy import stats
 
-from apdgof import numerics
+from apdgof import apd, numerics, score, simulate
 from apdgof.errors import AccuracyError, DomainError
 from apdgof.numerics import (
     chi2_quantile,
@@ -334,3 +334,32 @@ class TestIntegrate:
             integrate(math.exp, (2.0, 1.0))
         with pytest.raises(DomainError):
             integrate(math.exp, (math.nan, 1.0))
+
+
+
+HUGE = 10**400  # an int that float() cannot convert: a bare OverflowError before
+X = np.arange(10.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: score.check_lambda(HUGE), id="check_lambda"),
+        pytest.param(lambda: score.run_test(X, HUGE), id="run_test-lam"),
+        pytest.param(lambda: score.run_test(X, 2.0, alpha=HUGE), id="run_test-alpha"),
+        pytest.param(lambda: score.fisher_information(HUGE), id="fisher_information"),
+        pytest.param(lambda: score.noncentrality((HUGE, 0.0), 2.0), id="noncentrality"),
+        pytest.param(lambda: score.asymptotic_power((0.5, 0.3), 2.0, HUGE), id="asymptotic_power"),
+        pytest.param(lambda: chi2_sf(HUGE), id="chi2_sf"),
+        pytest.param(lambda: chi2_quantile(HUGE), id="chi2_quantile"),
+        pytest.param(lambda: noncentral_chi2_sf(1.0, HUGE), id="noncentral_chi2_sf"),
+        pytest.param(lambda: gamma_sample(HUGE, np.random.default_rng(0)), id="gamma_sample"),
+        pytest.param(lambda: apd.ApdParams(0.5, HUGE), id="ApdParams"),
+        pytest.param(lambda: score.LocationScale(HUGE, 1.0), id="LocationScale"),
+        pytest.param(lambda: simulate.mle_rmse_study(HUGE, 20, 100, 1), id="mle_rmse_study"),
+        pytest.param(lambda: simulate.mc_fisher_check(HUGE, 10**5, 1), id="mc_fisher_check"),
+    ],
+)
+def test_int_beyond_double_range_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

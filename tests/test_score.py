@@ -12,6 +12,7 @@ shape score, statistic).
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -768,6 +769,25 @@ class TestRunTest:
     def test_largest_lambdas(self, data):
         rep = run_test(data, 5.5e102)
         assert math.isfinite(rep.t_stat) and 0.0 <= rep.p_value <= 1.0
+
+    @pytest.mark.parametrize("lam", LAM_GRID)
+    def test_working_memory_is_three_arrays(self, lam):
+        # Beside the data the fit holds d, |d| and one power of |d|; each solve
+        # pass added a fourth array for its sum terms before the buffers were
+        # reused.  The warm-up keeps first-call allocations out of the peak.
+        x = apd.sample(apd.ApdParams(0.5, lam, 3.0, 2.0), 100_000, np.random.default_rng(17))
+        before = x.copy()
+        run_test(x, lam)
+        tracemalloc.start()
+        try:
+            run_test(x, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * x.nbytes
+        fit = fit_null_mle(x, lam)
+        modified_score(x, lam, fit)
+        assert x.tobytes() == before.tobytes()  # no buffer is the caller's array
 
     def test_fixed_loc_scale_variant(self):
         rng = np.random.default_rng(5)
