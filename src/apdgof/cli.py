@@ -33,6 +33,8 @@ EXIT_USAGE = 64
 
 # Most rows ``tables --lambda-grid`` prints.
 _GRID_CAP = 10_000
+# Bytes that ``read_values`` scans for a ``#`` at a time.
+_SCAN_CHUNK = 1 << 16
 
 _TABLE_COLUMNS = (
     "lambda",
@@ -74,21 +76,24 @@ def read_values(path: str) -> np.ndarray:
     input error.  At least two values are required.  The first bad line in
     file order is reported with its line number.
 
-    The path is read once, so a pipe or ``/dev/stdin`` works.  A file of
-    bare values is converted line by line as its bytes decode; that holds
-    the bytes plus the array of values (8 bytes a value, over-allocated by
-    up to half while it grows), about 1.6 times the file's size for values
-    written at 17 digits.  Any other file takes a pass over its decoded
-    lines, which holds about five times the file's size.
+    The path is opened once, so a pipe or ``/dev/stdin`` works: input that
+    cannot seek is read into memory first, a file is read where it lies.  A
+    file of bare values is converted line by line as it decodes, holding
+    the array of values (8 bytes a value, over-allocated by up to half while
+    it grows) and, for a pipe, its bytes.  Any other input takes a pass over
+    its decoded lines, which holds about five times its size.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            src = fh if fh.seekable() else io.BytesIO(fh.read())
+            values = _stream_values(src)
+            if values is not None:
+                return values
+            src.seek(0)
+            data = src.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
-    values = _stream_values(data)
-    if values is not None:
-        return values
+    del src  # a pipe's BytesIO shares the buffer of ``data``
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -111,24 +116,33 @@ def read_values(path: str) -> np.ndarray:
     return values
 
 
-def _stream_values(data: bytes) -> np.ndarray | None:
-    """The values of ``data`` converted as it decodes, or None where the line pass must decide.
+def _stream_values(src) -> np.ndarray | None:
+    """The values of the seekable binary input ``src`` converted as it decodes, or None.
 
-    If every universal-newline line converts with ``float()``, no line holds
-    inner whitespace or a ``#``.  So a break only ``str.splitlines`` knows
-    (each is whitespace) sits at a line's edge and splits off a blank piece
-    that the line pass skips: the values are the line pass's.  A ``#`` or a
-    blank last line would fail the stream late, so such data skips it.
+    None leaves the input to the line pass.  If every universal-newline line
+    converts with ``float()``, no line holds inner whitespace or a ``#``.  So
+    a break only ``str.splitlines`` knows (each is whitespace) sits at a
+    line's edge and splits off a blank piece that the line pass skips: the
+    values are the line pass's.  A ``#`` or a blank last line would fail the
+    stream late, so a scan in small chunks sends such input to the line pass
+    first.
     """
-    tail = data[-64:]
+    while chunk := src.read(_SCAN_CHUNK):
+        if b"#" in chunk:
+            return None
+    src.seek(max(src.tell() - 64, 0))
+    tail = src.read()
     trailing_space = tail[len(tail.rstrip()):]
-    if b"#" in data or len(trailing_space.splitlines()) > 1:
+    if len(trailing_space.splitlines()) > 1:
         return None
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    src.seek(0)
+    lines = io.TextIOWrapper(src, encoding="utf-8")
     try:
         values = np.fromiter(map(float, lines), float)
     except ValueError:  # UnicodeDecodeError among them
         return None
+    finally:
+        lines.detach()  # closing the wrapper would close ``src``
     return values if values.size >= 2 and np.isfinite(values).all() else None
 
 

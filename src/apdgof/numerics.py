@@ -60,10 +60,18 @@ def _check_fields(obj, names: tuple[str, ...], positive: tuple[str, ...] = ()) -
             object.__setattr__(obj, name, float(v))
 
 
+def _shown(value) -> str:
+    """``str(value)`` for a message; an int too long for ``str`` is shown by its order of magnitude."""
+    try:
+        return str(value)
+    except ValueError:  # Python's int-to-str digit limit
+        return f"an int near {'-' if value < 0 else ''}10**{math.log10(abs(value)):.6g}"
+
+
 def _check_count(name: str, value, least: int, error: type[Exception]) -> int:
     """``value`` as an int, if it is a whole number ``>= least``; else ``error``."""
     if value % 1 != 0 or value < least:  # value % 1 is NaN for a NaN or infinite value
-        raise error(f"{name} must be an integer >= {least}, got {value}")
+        raise error(f"{name} must be an integer >= {least}, got {_shown(value)}")
     return int(value)
 
 
@@ -98,14 +106,19 @@ def noncentral_chi2_sf(x: float, ncp: float) -> float:
     """Survival function of the noncentral chi-square(2) law.
 
     ``1 - scipy.special.chndtr(x, 2, ncp)``, within ``1e-10`` of the exact
-    value; ``ncp == 0`` is :func:`chi2_sf`.  ``scipy.special`` is imported
-    on the first call with ``ncp > 0``.
+    value; ``ncp == 0`` is :func:`chi2_sf`.  ``chndtr`` has no value for a
+    large ``ncp`` (NaN from about 1e16 at ``x = 5``), which raises
+    :class:`AccuracyError`.  ``scipy.special`` is imported on the first call
+    with ``ncp > 0``.
     """
     x = _check_nonneg(x, "x")
     ncp = _check_nonneg(ncp, "ncp")
     if ncp == 0.0:
         return chi2_sf(x)
-    return 1.0 - float(_chi2_cdf(x, ncp))
+    cdf = float(_chi2_cdf(x, ncp))
+    if math.isnan(cdf):
+        raise AccuracyError(f"the noncentral chi-square law has no computed value at x={x}, ncp={ncp}")
+    return 1.0 - cdf
 
 
 def _chi2_cdf(x, ncp: float):

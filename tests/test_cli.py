@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -100,16 +101,17 @@ class TestTestCommand:
         assert clean["results"] == messy_rec["results"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
-    def test_piped_input_with_header(self, tmp_path):
+    @pytest.mark.parametrize("lam", ["2", "1.5", "3"])  # the mean, then the location solve
+    def test_piped_input_with_header(self, tmp_path, lam):
         # A parse that reopened or seeked the path would lose what the
         # first read took from the pipe.
         values = np.random.default_rng(2).standard_normal(500)
         text = "".join(f"{v:.17g}\n" for v in values)
         path = tmp_path / "plain.txt"
         path.write_text(text)
-        plain = run_program("test", "--input", str(path), "--lambda", "2", timeout=60)
+        plain = run_program("test", "--input", str(path), "--lambda", lam, timeout=60)
         piped = run_program(
-            "test", "--input", "/dev/stdin", "--lambda", "2", timeout=60, input="# header\n" + text
+            "test", "--input", "/dev/stdin", "--lambda", lam, timeout=60, input="# header\n" + text
         )
         assert plain.returncode == piped.returncode == EXIT_OK
         assert "n=500" in plain.stdout
@@ -483,50 +485,122 @@ INPUT_CORPUS = {
 }
 
 
+class FifoPath(type(Path())):
+    """A path that ``write_bytes`` makes a FIFO: the first reader gets ``content`` through a pipe.
+
+    Once that reader has opened the FIFO, a regular file with the same
+    content takes its place, so every later reader (the oracle) reads a file.
+    """
+
+    def write_bytes(self, content):
+        os.mkfifo(self)
+        self.writer = threading.Thread(target=self._feed, args=(content,), daemon=True)
+        self.writer.start()
+
+    def _feed(self, content):
+        with open(self, "wb") as pipe:  # blocks until the first reader opens
+            regular = Path(f"{self}.regular")
+            regular.write_bytes(content)
+            os.replace(regular, self)
+            pipe.write(content)
+
+
+def assert_pipe_parses_like_reference(path: Path, content: bytes):
+    """:func:`assert_parses_like_reference` with ``read_values`` reading ``content`` from a FIFO."""
+    fifo = FifoPath(path)
+    try:
+        return assert_parses_like_reference(fifo, content)
+    finally:
+        fifo.writer.join(timeout=60)
+        assert not fifo.writer.is_alive()
+
+
+RANDOM_FILES = dict(
+    lines=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).flatmap(
+                lambda v: st.sampled_from([repr(v), f"{v:.17g}", f"{v:.3e}", f" {v!r}\t"])
+            ),
+            st.sampled_from(["", " ", "\t", "  \t "]),
+            st.text(max_size=12).map(lambda t: "#" + t),
+            st.text(max_size=12).map(lambda t: "  # " + t),
+        ),
+        max_size=40,
+    ),
+    bad=st.lists(
+        st.tuples(
+            st.integers(0, 40),
+            st.sampled_from(["abc", "1 2", "nan", "inf", "-1e999", "1 # c", "0x1p3"]),
+        ),
+        max_size=2,
+    ),
+    sep=st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]),
+    final_sep=st.booleans(),
+)
+
+
+def random_file(lines, bad, sep, final_sep) -> bytes:
+    for pos, line in bad:
+        lines.insert(min(pos, len(lines)), line)
+    return (sep.join(lines) + (sep if final_sep and lines else "")).encode()
+
+
+def check_corpus_case(path: Path, case: str, check):
+    content, expected = INPUT_CORPUS[case]
+    kind, got = check(path, content)
+    if isinstance(expected, str):
+        assert kind == "error"
+        assert got in (f"{path}{expected}", f"cannot read {path}{expected}")
+    else:
+        assert kind == "values"
+        assert got.tobytes() == np.array(expected).tobytes()
+
+
 class TestReadValues:
-    """``read_values`` against the line-by-line oracle on a corpus and on random files."""
+    """``read_values`` against the line-by-line oracle on a corpus and on random files.
+
+    Each input is read from a file, which the parse streams where it lies,
+    and through a FIFO, which it reads into memory first.
+    """
 
     @pytest.mark.parametrize("case", sorted(INPUT_CORPUS))
     def test_corpus_matches_reference(self, tmp_path, case):
-        content, expected = INPUT_CORPUS[case]
-        path = tmp_path / "input.txt"
-        kind, got = assert_parses_like_reference(path, content)
-        if isinstance(expected, str):
-            assert kind == "error"
-            assert got in (f"{path}{expected}", f"cannot read {path}{expected}")
-        else:
-            assert kind == "values"
-            assert got.tobytes() == np.array(expected).tobytes()
+        check_corpus_case(tmp_path / "input.txt", case, assert_parses_like_reference)
 
-    @given(
-        lines=st.lists(
-            st.one_of(
-                st.floats(allow_nan=False, allow_infinity=False).flatmap(
-                    lambda v: st.sampled_from([repr(v), f"{v:.17g}", f"{v:.3e}", f" {v!r}\t"])
-                ),
-                st.sampled_from(["", " ", "\t", "  \t "]),
-                st.text(max_size=12).map(lambda t: "#" + t),
-                st.text(max_size=12).map(lambda t: "  # " + t),
-            ),
-            max_size=40,
-        ),
-        bad=st.lists(
-            st.tuples(
-                st.integers(0, 40),
-                st.sampled_from(["abc", "1 2", "nan", "inf", "-1e999", "1 # c", "0x1p3"]),
-            ),
-            max_size=2,
-        ),
-        sep=st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]),
-        final_sep=st.booleans(),
-    )
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    @pytest.mark.parametrize("case", sorted(INPUT_CORPUS))
+    def test_corpus_through_a_fifo(self, tmp_path, case):
+        check_corpus_case(tmp_path / "input.txt", case, assert_pipe_parses_like_reference)
+
+    @given(**RANDOM_FILES)
     @settings(max_examples=200, deadline=None)
     def test_random_files_match_reference(self, tmp_path_factory, lines, bad, sep, final_sep):
-        for pos, line in bad:
-            lines.insert(min(pos, len(lines)), line)
-        text = sep.join(lines) + (sep if final_sep and lines else "")
         path = tmp_path_factory.mktemp("random") / "input.txt"
-        assert_parses_like_reference(path, text.encode())
+        assert_parses_like_reference(path, random_file(lines, bad, sep, final_sep))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    @given(**RANDOM_FILES)
+    @settings(max_examples=200, deadline=None)
+    def test_random_files_through_a_fifo(self, tmp_path_factory, lines, bad, sep, final_sep):
+        path = tmp_path_factory.mktemp("random") / "input.txt"
+        assert_pipe_parses_like_reference(path, random_file(lines, bad, sep, final_sep))
+
+    def test_seekable_file_parse_memory(self, tmp_path):
+        # A file is streamed where it lies: the parse holds the values, over-
+        # allocated by up to half while the array grows, and no copy of the
+        # file's bytes (which take ~2.4x the values' 8 bytes at 17 digits).
+        values = np.random.default_rng(6).standard_normal(20_000)
+        path = tmp_path / "plain.txt"
+        path.write_text("".join(f"{v:.17g}\n" for v in values))
+        read_values(str(path))
+        tracemalloc.start()
+        try:
+            got = read_values(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == values.tobytes()
+        assert peak < 1.75 * values.nbytes
 
     def test_plain_file_parse_memory(self, tmp_path):
         # The line pass held the text, its line list and a token list: 4.8x

@@ -363,3 +363,50 @@ X = np.arange(10.0)
 def test_int_beyond_double_range_is_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+HUGER = 10**5000  # an int past Python's 4,300-digit int-to-str limit
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: apd.sample(apd.ApdParams(0.5, 2.0), -HUGER, np.random.default_rng(0)),
+            id="sample",
+        ),
+        pytest.param(lambda: score.test_statistic([0, 0], -HUGER, 2.0), id="test_statistic"),
+        pytest.param(lambda: score.noncentrality((HUGER, 0), 2.0), id="noncentrality"),
+    ],
+)
+def test_int_past_the_str_digit_limit_is_domain_error(call):
+    # The messages printed the raw int, which raised the builtin ValueError.
+    with pytest.raises(DomainError, match="got an int"):
+        call()
+
+
+class TestNoncentralLawLimits:
+    """The noncentral law never returns NaN or warns: it raises a typed error."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_noncentrality_is_domain_error(self):
+        with pytest.raises(DomainError, match="noncentrality"):
+            score.asymptotic_power((1e200, 1e200), 2.0, 0.05)
+        with pytest.raises(DomainError, match="noncentrality"):
+            score.noncentrality((1e200, 1e200), 2.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: noncentral_chi2_sf(5.0, 1e300), id="noncentral_chi2_sf"),
+            pytest.param(lambda: score.asymptotic_power((1e100, 0.0), 2.0, 0.05), id="asymptotic_power"),
+        ],
+    )
+    def test_no_value_from_chndtr_is_accuracy_error(self, call):
+        with pytest.raises(AccuracyError):
+            call()
+
+    @pytest.mark.parametrize("ncp", [1.0, 1e3, 1e8, 1e12, 1e15])
+    def test_values_up_to_1e15_are_chndtr_s(self, ncp):
+        for x in (0.0, 5.0, 1e3, 1e6):
+            assert noncentral_chi2_sf(x, ncp) == 1.0 - float(sc.chndtr(x, 2.0, ncp))

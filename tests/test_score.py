@@ -789,6 +789,28 @@ class TestRunTest:
         modified_score(x, lam, fit)
         assert x.tobytes() == before.tobytes()  # no buffer is the caller's array
 
+    @pytest.mark.parametrize("lam", LAM_GRID)
+    def test_working_memory_is_two_arrays(self, lam):
+        # Each pass writes d and the signed power over the same two buffers,
+        # and the score forms its weights and logs in them too; a third
+        # array held |d| before.
+        x = apd.sample(apd.ApdParams(0.5, lam, 3.0, 2.0), 100_000, np.random.default_rng(18))
+        fit = fit_null_mle(x, lam)
+        calls = {
+            "run_test": lambda: run_test(x, lam),
+            "fit_null_mle": lambda: fit_null_mle(x, lam),
+            "modified_score": lambda: modified_score(x, lam, fit),
+        }
+        for name, call in calls.items():
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.1 * x.nbytes, name
+
     def test_fixed_loc_scale_variant(self):
         rng = np.random.default_rng(5)
         data = apd.sample(apd.ApdParams(0.5, 1.5, 1.0, 2.0), 500, rng)
