@@ -18,13 +18,14 @@ power distribution (:class:`SepdParams`, :func:`from_sepd`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _check_count, _check_fields, gamma_sample
+from .numerics import _check_fields, _check_size, gamma_sample
 
 _LOG2 = math.log(2.0)
 # Where the incomplete-gamma argument t falls below this, e^-t and the
@@ -83,6 +84,13 @@ def _root_delta(theta1: float, theta2: float) -> float:
     # delta^(1/theta2), which lies between min(theta1, 1 - theta1) and 1 for
     # every theta2; each branch exponent is 0.5 (root_delta |y| / base)^theta2.
     return math.exp(_log_delta(theta1, theta2) / theta2)
+
+
+# Cached: every replicate of a study draws with the same shape pair.
+@functools.lru_cache(maxsize=256)
+def _sample_scale(theta1: float, theta2: float) -> float:
+    # c = (2/delta)^(1/theta2) of :func:`sample`; inf is caught there.
+    return np.exp((_LOG2 - _log_delta(theta1, theta2)) / theta2)
 
 
 def _log_norm_const(p: ApdParams) -> float:
@@ -184,13 +192,14 @@ def sample(p: ApdParams, n: int, rng: np.random.Generator) -> np.ndarray:
     the exact boost ``T = G U^theta2`` with ``U`` the uniform ``V`` rescaled
     to (0, 1) on its side.  Validated against :func:`cdf` by
     Kolmogorov-Smirnov tests.  Raises :class:`DomainError` when a draw
-    overflows (tiny ``theta2``).
+    overflows (tiny ``theta2``), and :class:`MemoryError` when ``n`` draws do
+    not fit in memory.
     """
-    n = _check_count("n", n, 0, DomainError)
+    n = _check_size("n", n)
     if n == 0:
         return np.empty(0)
     t1, t2 = p.theta1, p.theta2
-    c = np.exp((_LOG2 - _log_delta(t1, t2)) / t2)  # inf is caught below
+    c = _sample_scale(t1, t2)
     y = gamma_sample(1.0 + 1.0 / t2, rng, size=n) ** (1.0 / t2)
     y *= rng.random(n) - t1
     y *= p.sigma * c

@@ -33,6 +33,8 @@ _REALS = (float, int, np.floating, np.integer)
 # Absolute and relative error target, and subdivision cap, of :func:`integrate`.
 _QUAD_TOL = 1e-10
 _QUAD_LIMIT = 200
+# Most float64 values one numpy array can hold: its byte count must fit an intp.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
 def _as_float(value, name: str) -> float:
@@ -73,6 +75,18 @@ def _check_count(name: str, value, least: int, error: type[Exception]) -> int:
     if value % 1 != 0 or value < least:  # value % 1 is NaN for a NaN or infinite value
         raise error(f"{name} must be an integer >= {least}, got {_shown(value)}")
     return int(value)
+
+
+def _check_size(name: str, value) -> int:
+    """``value`` as a count of float64 values to allocate, if it is a whole number ``>= 0``.
+
+    Else :class:`DomainError`; a count beyond what numpy can size is the
+    :class:`MemoryError` a count it cannot allocate raises.
+    """
+    n = _check_count(name, value, 0, DomainError)
+    if n > _MAX_VALUES:
+        raise MemoryError(f"{name} is {_shown(n)}: more float64 values than an array can hold")
+    return n
 
 
 def _check_positive(x: float, name: str) -> float:
@@ -143,12 +157,13 @@ def gamma_sample(
     """Draw from Gamma(shape, scale=1) with numpy's ``Generator.standard_gamma``.
 
     Valid for every ``shape > 0``.  With ``size=None`` a single float is
-    returned, otherwise an array of ``size`` independent draws.
+    returned, otherwise an array of ``size`` independent draws; a ``size``
+    that does not fit in memory raises :class:`MemoryError`.
     """
     shape = _check_positive(shape, "shape")
     if size is None:
         return float(rng.standard_gamma(shape))
-    return rng.standard_gamma(shape, _check_count("size", size, 0, DomainError))
+    return rng.standard_gamma(shape, _check_size("size", size))
 
 
 def integrate(f: Callable[[float], float], domain: tuple[float, float]) -> float:

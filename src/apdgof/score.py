@@ -123,23 +123,30 @@ def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
     return x, lo, hi
 
 
-def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None):
+def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None, signed: bool = False):
     """``d = x - mu`` and ``p = |d|^(lam-1)``: the residual powers of every fit and score.
 
-    Both are written into the buffers ``d`` and ``p`` when given.  The power
-    is formed in place by the kernel the ``**`` operator would pick for the
-    exponent, the same doubles: ``np.power(..., out=)`` alone would skip the
-    square-root fast path and take 1.8 times as long at lam = 1.5.
+    Both are written into the buffers ``d`` and ``p`` when given, and ``p``
+    is signed as ``d`` when ``signed``.  The power is formed in place by the
+    kernel the ``**`` operator would pick for the exponent, the same doubles:
+    ``np.power(..., out=)`` alone would skip the square-root fast path and
+    take 1.8 times as long at lam = 1.5.  At exponent 2 the signed power is
+    the one multiply ``|d| d``, the same doubles as the square signed as
+    ``d`` (-0, underflow and overflow included).
     """
     d = np.subtract(x, mu, out=d)
     p = np.abs(d, out=p)
     e = lam - 1.0
+    if e == 2.0 and signed:
+        return d, np.multiply(p, d, out=p)
     if e == 0.5:
         np.sqrt(p, out=p)
     elif e == 2.0:
         np.square(p, out=p)
     else:
         np.power(p, e, out=p)
+    if signed:
+        np.copysign(p, d, out=p)
     return d, p
 
 
@@ -147,12 +154,12 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), then ``d = x - mu`` and |d|^(lam-1).
 
     The solve holds ``x`` plus two buffers, ``d`` and ``p``, that it
-    allocates once.  Each pass writes ``d`` and ``p`` (:func:`_residuals`),
-    takes s from ``p`` signed as ``d`` (written over ``p``) and s' from that
-    signed power over ``d`` (written over ``d``): a signed ``p / d`` is
-    ``p / |d|`` bit for bit, and 0/0 is still NaN.  When a pass ends the
-    solve, ``d`` is formed again and ``p`` unsigned; out of passes, and for
-    lam in {1, 2}, both come from :func:`_residuals` at ``mu``.
+    allocates once.  Each pass writes ``d`` and ``p`` signed as ``d``
+    (:func:`_residuals`; at lam = 3 the one multiply ``|d| d``), takes s from
+    ``p`` and s' from ``p`` over ``d`` (written over ``d``): a signed
+    ``p / d`` is ``|p| / |d|`` bit for bit, and 0/0 is still NaN.  When a
+    pass ends the solve, ``d`` is formed again and ``p`` unsigned; out of
+    passes, and for lam in {1, 2}, both come from :func:`_residuals` at ``mu``.
     """
     d = p = None
     if lam == 1.0:
@@ -172,8 +179,8 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
         d, p = np.empty_like(x), np.empty_like(x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(_ROOT_MAX_ITER):
-                _residuals(x, mu, lam, d, p)
-                s = float(np.copysign(p, d, out=p).sum())
+                _residuals(x, mu, lam, d, p, signed=True)
+                s = float(p.sum())
                 if s > 0.0:
                     lo = mu
                 elif s < 0.0:
@@ -206,7 +213,7 @@ def _abs_times(p: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _fit(x: np.ndarray, lo: float, hi: float, lam: float):
-    """Null MLE on ``x`` (extremes ``lo``, ``hi``), with ``d = x - mu`` and |d|^lam.
+    """Null MLE ``mu``, ``sigma`` on ``x`` (extremes ``lo``, ``hi``), with ``d = x - mu`` and |d|^lam.
 
     ``|d|^lam`` is ``|p d|`` for :func:`_locate`'s power ``p``, formed in ``p``'s buffer.
     """
@@ -215,7 +222,7 @@ def _fit(x: np.ndarray, lo: float, hi: float, lam: float):
     sigma = (0.5 * lam * float(adl.sum()) / x.size) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")
-    return LocationScale(mu=mu, sigma=sigma), d, adl
+    return mu, sigma, d, adl
 
 
 def fit_null_mle(data, lam: float) -> LocationScale:
@@ -236,7 +243,8 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     ``|x_i - mu|``; :func:`run_test` scores from those same arrays.
     """
     lam = check_lambda(lam)
-    return _fit(*_as_clean_data(data), lam)[0]
+    mu, sigma = _fit(*_as_clean_data(data), lam)[:2]
+    return LocationScale(mu=mu, sigma=sigma)
 
 
 def _mean_shape_score(d, adl, sigma: float, lam: float) -> np.ndarray:
@@ -418,8 +426,10 @@ def test_statistic(
     r = np.asarray(score, dtype=float).ravel()
     if r.size != 2:
         raise DomainError(f"score must have 2 entries, got {r.size}")
-    s11, s22 = _score_cov_diag(lam)
-    t = float(n * (r[0] ** 2 / s11 + r[1] ** 2 / s22))
+    with np.errstate(over="ignore"):
+        t = _t_stat(r, _as_float(n, "n"), lam)
+    if t == math.inf:
+        raise DomainError(f"T overflows for the score {r} at n = {n}")
     p = chi2_sf(t)
     reject = None if alpha is None else bool(p < alpha)
     return TestReport(
@@ -432,6 +442,12 @@ def test_statistic(
         alpha=alpha,
         reject=reject,
     )
+
+
+def _t_stat(r: np.ndarray, n: float, lam: float) -> float:
+    """``T = n (r1^2 / S11 + r2^2 / S22)`` of the score ``r`` at a checked ``lam``."""
+    s11, s22 = _score_cov_diag(lam)
+    return float(n * (r[0] ** 2 / s11 + r[1] ** 2 / s22))
 
 
 def noncentrality(delta, lam: float) -> float:
@@ -469,7 +485,28 @@ def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:
     transformations of the data.
     """
     lam = check_lambda(lam)
+    n, mu, sigma, r, t, p = _test(data, lam)
+    if alpha is not None:
+        alpha = _check_alpha(alpha)
+    return TestReport(
+        n=n,
+        lam=lam,
+        loc_scale=LocationScale(mu=mu, sigma=sigma),
+        score=r,
+        t_stat=t,
+        p_value=p,
+        alpha=alpha,
+        reject=None if alpha is None else bool(p < alpha),
+    )
+
+
+def _test(data, lam: float) -> tuple[int, float, float, np.ndarray, float, float]:
+    """:func:`run_test` at a checked ``lam``, without its report: ``(n, mu, sigma, r, T, p)``.
+
+    A study checks its arguments once and calls this for each replicate.
+    """
     x, lo, hi = _as_clean_data(data)
-    fit, d, adl = _fit(x, lo, hi, lam)
-    r = _mean_shape_score(d, adl, fit.sigma, lam)
-    return test_statistic(r, x.size, lam, alpha=alpha, fit=fit)
+    mu, sigma, d, adl = _fit(x, lo, hi, lam)
+    r = _mean_shape_score(d, adl, sigma, lam)
+    t = _t_stat(r, x.size, lam)
+    return x.size, mu, sigma, r, t, chi2_sf(t)

@@ -20,16 +20,16 @@ import numpy as np
 
 from . import apd
 from .errors import ConfigError, DegenerateSampleError, DomainError
-from .numerics import _check_count, _chi2_cdf, integrate
+from .numerics import _check_count, _check_size, _chi2_cdf, integrate
 from .score import (
     LocationScale,
     _check_alpha,
     _check_delta,
+    _test,
     asymptotic_power,
     check_lambda,
     fit_null_mle,
     noncentrality,
-    run_test,
     stacked_scores,
 )
 
@@ -200,9 +200,10 @@ def _replicate_block(
     """T statistics and p-values of replicates ``indices``, in index order.
 
     Replicate ``r`` tests ``apd.sample(params, n, replicate_rng(seed, r))``
-    against the null with tail exponent ``lam``; a degenerate replicate
-    gives NaN in both arrays.  Top-level function so process pools can
-    pickle it.
+    against the null with tail exponent ``lam`` as
+    :func:`apdgof.score.run_test` would, without checking ``lam`` again or
+    building its report; a degenerate replicate gives NaN in both arrays.
+    Top-level function so process pools can pickle it.
     """
     t = np.full(len(indices), math.nan)
     p = np.full(len(indices), math.nan)
@@ -210,10 +211,9 @@ def _replicate_block(
         rng = replicate_rng(seed, r)
         data = apd.sample(params, n, rng)
         try:
-            report = run_test(data, lam)
+            t[k], p[k] = _test(data, lam)[-2:]
         except DegenerateSampleError:
             continue
-        t[k], p[k] = report.t_stat, report.p_value
     return t, p
 
 
@@ -226,6 +226,7 @@ def _study(
     to the predicted asymptotic power in a power study; the KS distance is
     against the chi-square(2) law with noncentrality ``ncp``.
     """
+    _check_size("reps", cfg.reps)  # the statistics and p-values are arrays of reps floats
     params = apd.ApdParams(*theta, mu=cfg.loc_scale.mu, sigma=cfg.loc_scale.sigma)
     block = partial(_replicate_block, params, cfg.lam, cfg.n, cfg.seed)
     # A forking pool starts all max_workers processes on its first submit, so

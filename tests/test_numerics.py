@@ -385,6 +385,66 @@ def test_int_past_the_str_digit_limit_is_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("n", [HUGE, HUGER], ids=["1e400", "1e5000"])
+def test_statistic_of_a_count_beyond_the_double_range_names_n(n):
+    # T multiplies by n as a double: float(n) raised a bare OverflowError.
+    with pytest.raises(DomainError, match="^n must"):
+        score.test_statistic([0.1, 0.0], n, 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_statistic_is_domain_error():
+    # n r1^2 / S11 overflowed with a RuntimeWarning, then chi2_sf refused an infinite x.
+    assert math.isfinite(score.test_statistic([10.0, 0.0], 10**300, 2.0).t_stat)
+    with pytest.raises(DomainError, match="T overflows"):
+        score.test_statistic([10.0, 0.0], 10**308, 2.0)
+    with pytest.raises(DomainError, match="T overflows"):
+        score.test_statistic([1e200, 0.0], 10, 2.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: apd.sample(apd.ApdParams(0.5, 2.0), 10**30, np.random.default_rng(0)),
+            id="sample-1e30",
+        ),
+        pytest.param(
+            lambda: apd.sample(apd.ApdParams(0.5, 2.0), HUGER, np.random.default_rng(0)),
+            id="sample-1e5000",
+        ),
+        pytest.param(
+            lambda: gamma_sample(1.0, np.random.default_rng(0), 10**30), id="gamma_sample-1e30"
+        ),
+        pytest.param(
+            lambda: gamma_sample(1.0, np.random.default_rng(0), numerics._MAX_VALUES + 1),
+            id="gamma_sample-first-unsizable",
+        ),
+        pytest.param(
+            lambda: simulate.run_null_study(simulate.StudyConfig(lam=2.0, n=10**30, reps=100, seed=1)),
+            id="run_null_study-1e30",
+        ),
+        pytest.param(
+            lambda: simulate.run_null_study(simulate.StudyConfig(lam=2.0, n=20, reps=10**30, seed=1)),
+            id="run_null_study-reps-1e30",
+        ),
+        pytest.param(lambda: simulate.mc_fisher_check(2.0, 10**30, 1), id="mc_fisher_check-1e30"),
+    ],
+)
+def test_count_numpy_cannot_size_is_memory_error(call):
+    # numpy refuses such a count with a bare ValueError ("Maximum allowed
+    # dimension exceeded", or "array is too big"); a count it can size but
+    # not allocate, such as 10**15, is already its MemoryError.
+    with pytest.raises(MemoryError, match="more float64 values than an array can hold"):
+        call()
+
+
+def test_largest_sizable_count_is_numpy_s_memory_error():
+    # 8 EiB less 8 bytes: numpy sizes the array, and the allocation fails before a page is touched.
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        gamma_sample(1.0, np.random.default_rng(0), numerics._MAX_VALUES)
+
+
 class TestNoncentralLawLimits:
     """The noncentral law never returns NaN or warns: it raises a typed error."""
 

@@ -431,6 +431,38 @@ class TestFitResidualsOracle:
         assert_close_report(rep, reference_test(x, lam, reference_fit(x, lam)))
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestSignedResidualPower:
+    """The location solve's signed power ``sign(d) |d|^(lam-1)``, formed by :func:`_residuals`."""
+
+    # +-0, the least subnormal, squares that underflow to 0 or to a
+    # subnormal, the largest with a finite square (1.34e154 is just below
+    # sqrt(max double)) and squares that overflow to +-inf, among ordinary values.
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-162, -1.5e-162, 1e-160, -1e-160,
+             1.34e154, -1.34e154, 1.35e154, -1.35e154, 0.3, -2.5, 7.0]
+
+    def test_square_is_one_multiply_bit_for_bit(self):
+        with np.errstate(over="ignore"):
+            d, p = score_mod._residuals(np.array(self.EDGES), 0.0, 3.0, signed=True)
+            expected = np.copysign(np.square(np.abs(d)), d)
+        assert bits(d).tolist() == bits(self.EDGES).tolist()
+        assert bits(p).tolist() == bits(expected).tolist()
+        assert bits(p[:6]).tolist() == bits([0.0, -0.0] * 3).tolist()
+        assert 0.0 < p[6] < 1e-300 and math.isfinite(p[8]) and p[10:12].tolist() == [math.inf, -math.inf]
+
+    @pytest.mark.parametrize("lam", [1.5, 2.5, 3.0, 8.0])
+    def test_signed_power_is_the_unsigned_power_signed(self, lam):
+        x = np.concatenate([self.EDGES, apd.sample(apd.ApdParams(0.5, 3.0), 2000, np.random.default_rng(4))])
+        with np.errstate(under="ignore", over="ignore"):
+            d, p = score_mod._residuals(x, 0.1, lam)
+            d2, q = score_mod._residuals(x, 0.1, lam, signed=True)
+        assert bits(d2).tolist() == bits(d).tolist()
+        assert bits(q).tolist() == bits(np.copysign(p, d)).tolist()
+
+
 class TestModifiedScore:
     def test_symmetric_data_kills_first_component(self):
         data = [-1.0, 0.0, 1.0]

@@ -222,6 +222,32 @@ class TestNullStudy:
         assert json.dumps(json.loads(text), sort_keys=True, indent=2) == text
 
 
+class TestReplicateBlock:
+    """A replicate is ``run_test`` on its draws, with the arguments checked once per study."""
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0, 8.0])
+    def test_matches_run_test(self, lam):
+        from apdgof.score import run_test
+        from apdgof.simulate import _replicate_block
+
+        params = apd.ApdParams(0.5, lam, 1000.0, 50.0)
+        t, p = _replicate_block(params, lam, 50, 7, range(5))
+        expected = [run_test(apd.sample(params, 50, replicate_rng(7, r)), lam) for r in range(5)]
+        assert t.tolist() == [rep.t_stat for rep in expected]
+        assert p.tolist() == [rep.p_value for rep in expected]
+
+    def test_lambda_is_checked_once_per_study(self, monkeypatch):
+        from apdgof import score, simulate
+
+        calls = []
+        check = score.check_lambda
+        for module in (score, simulate):
+            monkeypatch.setattr(module, "check_lambda", lambda lam: calls.append(lam) or check(lam))
+        report = run_null_study(StudyConfig(lam=3.0, n=20, reps=100, seed=1))
+        assert report.replicate_failures == 0
+        assert calls == [3.0]
+
+
 class TestLocalAlternativeStudy:
     def test_requires_delta(self):
         cfg = StudyConfig(lam=2.0, n=100, reps=100, seed=0)
