@@ -22,7 +22,7 @@ import numpy as np
 
 from . import apd
 from .errors import ApdGofError, ConfigError, DegenerateSampleError, DomainError
-from .score import LocationScale, check_lambda, fisher_information, run_test, score_covariance
+from .score import LocationScale, _check_alpha, check_lambda, fisher_information, run_test, score_covariance
 from .simulate import _SCHEMA_VERSION, StudyConfig, _check_seed, run_local_alternative_study, run_null_study
 
 EXIT_OK = 0
@@ -181,16 +181,17 @@ def _check(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
-def _check_lambda(lam: float, flag: str) -> float:
+def _check_flag(rule, value, flag: str):
+    """``rule(value)`` for a library rule; its :class:`DomainError` becomes a usage error naming ``flag``."""
     try:
-        return check_lambda(lam)
+        return rule(value)
     except DomainError as exc:
         raise _UsageError(f"{flag}: {exc}") from None
 
 
 def _cmd_test(args) -> int:
-    _check_lambda(args.lam, "--lambda")
-    _check(0.0 < args.alpha < 1.0, "--alpha must lie in (0, 1)")
+    _check_flag(check_lambda, args.lam, "--lambda")
+    _check_flag(_check_alpha, args.alpha, "--alpha")
     data = read_values(args.input)
     report = run_test(data, args.lam, alpha=args.alpha)
     results = {
@@ -220,7 +221,6 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _check(args.workers >= 1, "--workers must be >= 1")
     delta = None
     if args.kind == "power":
         _check(args.delta is not None, "simulate power requires --delta d1,d2")
@@ -266,8 +266,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(v) for v in parts)
     except ValueError:
         raise _UsageError(f"--lambda-grid has non-numeric parts: {text!r}") from None
-    _check_lambda(start, "--lambda-grid start")
-    _check_lambda(stop, "--lambda-grid stop")
+    _check_flag(check_lambda, start, "--lambda-grid start")
+    _check_flag(check_lambda, stop, "--lambda-grid stop")
     _check(stop >= start, "--lambda-grid stop must be >= start")
     _check(math.isfinite(step) and step > 0.0, "--lambda-grid step must be positive and finite")
     # Row k is start + k*step while it stays <= stop (with slack).  The cap

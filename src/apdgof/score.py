@@ -123,43 +123,41 @@ def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
     return x, lo, hi
 
 
-def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None, signed: bool = False):
-    """``d = x - mu`` and ``p = |d|^(lam-1)``: the residual powers of every fit and score.
+def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None):
+    """``d = x - mu`` and ``p = sign(d) |d|^(lam-1)``: the residual power of every fit and score.
 
-    Both are written into the buffers ``d`` and ``p`` when given, and ``p``
-    is signed as ``d`` when ``signed``.  The power is formed in place by the
-    kernel the ``**`` operator would pick for the exponent, the same doubles:
-    ``np.power(..., out=)`` alone would skip the square-root fast path and
-    take 1.8 times as long at lam = 1.5.  At exponent 2 the signed power is
-    the one multiply ``|d| d``, the same doubles as the square signed as
-    ``d`` (-0, underflow and overflow included).
+    Both are written into the buffers ``d`` and ``p`` when given.  ``|d|^lam``
+    is the product ``p d``: the signs of ``p`` and ``d`` match, so it is
+    never negative (``copysign(1, -0) * -0`` is +0).  The power is formed in
+    place by the kernel the ``**`` operator would pick for the exponent, the
+    same doubles: ``np.power(..., out=)`` alone would skip the square-root
+    fast path and take 1.8 times as long at lam = 1.5.  At exponent 2 the
+    signed power is the one multiply ``|d| d``, the same doubles as the
+    square signed as ``d`` (-0, underflow and overflow included).
     """
     d = np.subtract(x, mu, out=d)
     p = np.abs(d, out=p)
     e = lam - 1.0
-    if e == 2.0 and signed:
+    if e == 2.0:
         return d, np.multiply(p, d, out=p)
     if e == 0.5:
         np.sqrt(p, out=p)
-    elif e == 2.0:
-        np.square(p, out=p)
     else:
         np.power(p, e, out=p)
-    if signed:
-        np.copysign(p, d, out=p)
-    return d, p
+    return d, np.copysign(p, d, out=p)
 
 
 def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
-    """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), then ``d = x - mu`` and |d|^(lam-1).
+    """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), then ``d = x - mu`` and sign(d) |d|^(lam-1).
 
     The solve holds ``x`` plus two buffers, ``d`` and ``p``, that it
-    allocates once.  Each pass writes ``d`` and ``p`` signed as ``d``
+    allocates once.  Each pass writes ``d`` and the signed power ``p``
     (:func:`_residuals`; at lam = 3 the one multiply ``|d| d``), takes s from
     ``p`` and s' from ``p`` over ``d`` (written over ``d``): a signed
     ``p / d`` is ``|p| / |d|`` bit for bit, and 0/0 is still NaN.  When a
-    pass ends the solve, ``d`` is formed again and ``p`` unsigned; out of
-    passes, and for lam in {1, 2}, both come from :func:`_residuals` at ``mu``.
+    pass ends the solve, ``d`` is formed again and ``p`` is returned as it
+    stands; out of passes, and for lam in {1, 2}, both come from
+    :func:`_residuals` at ``mu``.
     """
     d = p = None
     if lam == 1.0:
@@ -179,7 +177,7 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
         d, p = np.empty_like(x), np.empty_like(x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(_ROOT_MAX_ITER):
-                _residuals(x, mu, lam, d, p, signed=True)
+                _residuals(x, mu, lam, d, p)
                 s = float(p.sum())
                 if s > 0.0:
                     lo = mu
@@ -202,23 +200,17 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
             else:
                 p = None  # out of passes: the last power was formed at the previous mu
             if p is not None:
-                np.subtract(x, mu, out=d)
-                return mu, d, np.abs(p, out=p)
+                return mu, np.subtract(x, mu, out=d), p
     return (mu, *_residuals(x, mu, lam, d, p))
-
-
-def _abs_times(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``|p d|``, formed in ``p``: with ``p = |d|^(lam-1)``, the same double as ``p |d|``."""
-    return np.abs(np.multiply(p, d, out=p), out=p)
 
 
 def _fit(x: np.ndarray, lo: float, hi: float, lam: float):
     """Null MLE ``mu``, ``sigma`` on ``x`` (extremes ``lo``, ``hi``), with ``d = x - mu`` and |d|^lam.
 
-    ``|d|^lam`` is ``|p d|`` for :func:`_locate`'s power ``p``, formed in ``p``'s buffer.
+    ``|d|^lam`` is ``p d`` for :func:`_locate`'s signed power ``p``, formed in ``p``'s buffer.
     """
     mu, d, p = _locate(x, lo, hi, lam)
-    adl = _abs_times(p, d)
+    adl = np.multiply(p, d, out=p)
     sigma = (0.5 * lam * float(adl.sum()) / x.size) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")
@@ -239,8 +231,9 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     bisects otherwise.  The solve stops when ``s == 0`` or when the bracket
     has closed to adjacent doubles.
     Scale: ``((lam/2) mean(|x_i - mu|^lam))^(1/lam)``, the powers taken as
-    ``|x_i - mu|^(lam-1)`` (off lam in {1, 2} the solve's last) times
-    ``|x_i - mu|``; :func:`run_test` scores from those same arrays.
+    the signed ``sign(x_i - mu) |x_i - mu|^(lam-1)`` (off lam in {1, 2} the
+    solve's last) times ``x_i - mu``; :func:`run_test` scores from those
+    same arrays.
     """
     lam = check_lambda(lam)
     mu, sigma = _fit(*_as_clean_data(data), lam)[:2]
@@ -273,13 +266,13 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
     ``fit`` should come from :func:`fit_null_mle` on the same data; the
     result is finite even when the fitted location coincides with a data
     point (the ``y = 0`` conventions of :func:`stacked_scores`).  The residual
-    powers are formed as the location solve forms them, in two arrays the
-    size of the data, and :func:`run_test` averages its fit's own residuals
-    with the same code.
+    power is the location solve's signed ``sign(d) |d|^(lam-1)``, times
+    ``d``, in two arrays the size of the data, and :func:`run_test` averages
+    its fit's own residuals with the same code.
     """
     lam = check_lambda(lam)
     d, p = _residuals(np.asarray(data, dtype=float).ravel(), fit.mu, lam)
-    return _mean_shape_score(d, _abs_times(p, d), fit.sigma, lam)
+    return _mean_shape_score(d, np.multiply(p, d, out=p), fit.sigma, lam)
 
 
 def fisher_information(lam: float) -> np.ndarray:
@@ -420,28 +413,24 @@ def test_statistic(
     ``p < alpha``.
     """
     lam = check_lambda(lam)
-    if alpha is not None:
-        alpha = _check_alpha(alpha)
     n = _check_count("n", n, 2, DomainError)
     r = np.asarray(score, dtype=float).ravel()
     if r.size != 2:
         raise DomainError(f"score must have 2 entries, got {r.size}")
+    if not np.isfinite(r).all():
+        raise DomainError(f"score must be finite, got {r}")
     with np.errstate(over="ignore"):
         t = _t_stat(r, _as_float(n, "n"), lam)
     if t == math.inf:
         raise DomainError(f"T overflows for the score {r} at n = {n}")
-    p = chi2_sf(t)
+    return _report(n, lam, fit, r, t, chi2_sf(t), alpha)
+
+
+def _report(n: int, lam: float, fit, r: np.ndarray, t: float, p: float, alpha) -> TestReport:
+    """The :class:`TestReport` of a test; with ``alpha`` in (0, 1), ``reject`` is ``p < alpha``."""
+    alpha = None if alpha is None else _check_alpha(alpha)
     reject = None if alpha is None else bool(p < alpha)
-    return TestReport(
-        n=n,
-        lam=lam,
-        loc_scale=fit,
-        score=r,
-        t_stat=t,
-        p_value=p,
-        alpha=alpha,
-        reject=reject,
-    )
+    return TestReport(n=n, lam=lam, loc_scale=fit, score=r, t_stat=t, p_value=p, alpha=alpha, reject=reject)
 
 
 def _t_stat(r: np.ndarray, n: float, lam: float) -> float:
@@ -486,18 +475,7 @@ def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:
     """
     lam = check_lambda(lam)
     n, mu, sigma, r, t, p = _test(data, lam)
-    if alpha is not None:
-        alpha = _check_alpha(alpha)
-    return TestReport(
-        n=n,
-        lam=lam,
-        loc_scale=LocationScale(mu=mu, sigma=sigma),
-        score=r,
-        t_stat=t,
-        p_value=p,
-        alpha=alpha,
-        reject=None if alpha is None else bool(p < alpha),
-    )
+    return _report(n, lam, LocationScale(mu=mu, sigma=sigma), r, t, p, alpha)
 
 
 def _test(data, lam: float) -> tuple[int, float, float, np.ndarray, float, float]:

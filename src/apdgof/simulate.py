@@ -224,8 +224,14 @@ def _study(
 
     Rejection rates are taken over the replicates that did not fail, next
     to the predicted asymptotic power in a power study; the KS distance is
-    against the chi-square(2) law with noncentrality ``ncp``.
+    against the chi-square(2) law with noncentrality ``ncp``.  ``workers``
+    must be an integer >= 1, else :class:`ConfigError`; the pool is capped
+    at the CPUs this process may use.
     """
+    try:
+        workers = _check_count("workers", workers, 1, ConfigError)
+    except TypeError:  # a str or None has no % 1 to take
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}") from None
     _check_size("reps", cfg.reps)  # the statistics and p-values are arrays of reps floats
     params = apd.ApdParams(*theta, mu=cfg.loc_scale.mu, sigma=cfg.loc_scale.sigma)
     block = partial(_replicate_block, params, cfg.lam, cfg.n, cfg.seed)

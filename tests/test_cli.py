@@ -175,6 +175,14 @@ class TestTestCommand:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("alpha", ["nan", "0", "1"])
+    def test_alpha_outside_unit_interval_names_the_flag(self, capsys, data_file, alpha):
+        code, out, err = run_cli(
+            capsys, "test", "--input", data_file, "--lambda", "1", "--alpha", alpha
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: --alpha")
+
     def test_exit_zero_even_when_rejecting(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         skewed = np.exp(rng.standard_normal(400))  # clearly not symmetric EP
@@ -211,6 +219,11 @@ class TestSimulateCommand:
         _, first, _ = run_cli(capsys, *self.ARGS)
         _, second, _ = run_cli(capsys, *self.ARGS, "--workers", "2")
         assert first == second
+
+    def test_zero_workers_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGS, "--workers", "0")
+        assert code == EXIT_USAGE
+        assert out == "" and "workers" in err
 
     def test_seed_beyond_64_bits_is_usage_error(self, capsys):
         code, out, err = run_cli(

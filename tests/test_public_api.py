@@ -3,10 +3,13 @@
 ``apdgof.__all__`` must equal the names that ``demos/*.py`` and the README's
 Python blocks import from ``apdgof``, plus the error classes and
 ``__version__``; everything else stays in the submodules.  Each README
-Python block is also run, so the quick start cannot go stale.
+Python block is also run, so the quick start cannot go stale.  Every name
+the benchmark's tracer patches (``TRACED`` in ``benchmarks/tracing.py``)
+must still be a function of its module.
 """
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -51,3 +54,17 @@ def test_all_is_what_demos_and_readme_import():
 def test_readme_block_runs(index):
     assert README_BLOCKS[index].strip()
     exec(compile(README_BLOCKS[index], f"README.md block {index}", "exec"), {})
+
+
+def traced_names() -> list[str]:
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("benchmarks/tracing.py defines no TRACED")
+
+
+@pytest.mark.parametrize("name", traced_names())
+def test_traced_name_is_a_function(name):
+    module, attr = name.split(".")
+    assert callable(getattr(importlib.import_module(f"apdgof.{module}"), attr, None))

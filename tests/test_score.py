@@ -446,7 +446,7 @@ class TestSignedResidualPower:
 
     def test_square_is_one_multiply_bit_for_bit(self):
         with np.errstate(over="ignore"):
-            d, p = score_mod._residuals(np.array(self.EDGES), 0.0, 3.0, signed=True)
+            d, p = score_mod._residuals(np.array(self.EDGES), 0.0, 3.0)
             expected = np.copysign(np.square(np.abs(d)), d)
         assert bits(d).tolist() == bits(self.EDGES).tolist()
         assert bits(p).tolist() == bits(expected).tolist()
@@ -458,9 +458,20 @@ class TestSignedResidualPower:
         x = np.concatenate([self.EDGES, apd.sample(apd.ApdParams(0.5, 3.0), 2000, np.random.default_rng(4))])
         with np.errstate(under="ignore", over="ignore"):
             d, p = score_mod._residuals(x, 0.1, lam)
-            d2, q = score_mod._residuals(x, 0.1, lam, signed=True)
-        assert bits(d2).tolist() == bits(d).tolist()
-        assert bits(q).tolist() == bits(np.copysign(p, d)).tolist()
+            expected = np.copysign(np.abs(x - 0.1) ** (lam - 1.0), x - 0.1)
+        assert bits(d).tolist() == bits(x - 0.1).tolist()
+        assert bits(p).tolist() == bits(expected).tolist()
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_power_times_residual_is_the_lam_power(self, lam):
+        # Exponents 0 and 1: p is +-1 signed as d, then d itself; p d is |d|^lam, +0 at -0.
+        d, p = score_mod._residuals(np.array(self.EDGES), 0.0, lam)
+        with np.errstate(under="ignore", over="ignore"):
+            expected = np.abs(d) ** lam
+            adl = p * d
+        assert bits(p).tolist() == bits(np.copysign(np.abs(d) ** (lam - 1.0), d)).tolist()
+        assert bits(adl).tolist() == bits(expected).tolist()
+        assert bits(adl[:2]).tolist() == bits([0.0, 0.0]).tolist()
 
 
 class TestModifiedScore:
@@ -679,6 +690,12 @@ class TestTestStatistic:
     def test_score_not_a_pair(self, score):
         with pytest.raises(DomainError):
             score_mod.test_statistic(score, 100, 2)
+
+    @pytest.mark.parametrize("score", [[math.nan, 0.0], [0.0, math.nan]])
+    def test_nan_score_is_named(self, score):
+        # Raised "x must be a nonnegative finite real", chi2_sf's argument.
+        with pytest.raises(DomainError, match="^score must be finite"):
+            score_mod.test_statistic(score, 10, 2.0)
 
 
 class TestNoncentralityAndPower:
