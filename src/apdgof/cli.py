@@ -181,17 +181,17 @@ def _check(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
-def _check_flag(rule, value, flag: str):
-    """``rule(value)`` for a library rule; its :class:`DomainError` becomes a usage error naming ``flag``."""
+def _check_flag(flag: str, rule, *values):
+    """``rule(*values)`` for a library rule; its :class:`DomainError` becomes a usage error naming ``flag``."""
     try:
-        return rule(value)
+        return rule(*values)
     except DomainError as exc:
         raise _UsageError(f"{flag}: {exc}") from None
 
 
 def _cmd_test(args) -> int:
-    _check_flag(check_lambda, args.lam, "--lambda")
-    _check_flag(_check_alpha, args.alpha, "--alpha")
+    _check_flag("--lambda", check_lambda, args.lam)
+    _check_flag("--alpha", _check_alpha, args.alpha)
     data = read_values(args.input)
     report = run_test(data, args.lam, alpha=args.alpha)
     results = {
@@ -227,10 +227,7 @@ def _cmd_simulate(args) -> int:
         delta = args.delta
     else:
         _check(args.delta is None, "--delta is only valid for simulate power")
-    try:
-        loc_scale = LocationScale(args.mu, args.sigma)
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from None
+    loc_scale = _check_flag("--mu/--sigma", LocationScale, args.mu, args.sigma)
     cfg = StudyConfig(
         lam=args.lam,
         n=args.n,
@@ -266,8 +263,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(v) for v in parts)
     except ValueError:
         raise _UsageError(f"--lambda-grid has non-numeric parts: {text!r}") from None
-    _check_flag(check_lambda, start, "--lambda-grid start")
-    _check_flag(check_lambda, stop, "--lambda-grid stop")
+    _check_flag("--lambda-grid start", check_lambda, start)
+    _check_flag("--lambda-grid stop", check_lambda, stop)
     _check(stop >= start, "--lambda-grid stop must be >= start")
     _check(math.isfinite(step) and step > 0.0, "--lambda-grid step must be positive and finite")
     # Row k is start + k*step while it stays <= stop (with slack).  The cap
@@ -301,12 +298,9 @@ def _cmd_tables(args) -> int:
 def _cmd_sample(args) -> int:
     _check(args.n >= 1, "--n must be >= 1")
     _check_seed(args.seed)
-    try:
-        params = apd.ApdParams(
-            theta1=args.theta1, theta2=args.theta2, mu=args.mu, sigma=args.sigma
-        )
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from None
+    params = _check_flag(
+        "--theta1/--theta2/--mu/--sigma", apd.ApdParams, args.theta1, args.theta2, args.mu, args.sigma
+    )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
     values = apd.sample(params, args.n, rng)
     try:

@@ -8,8 +8,8 @@ adaptive quadrature are validated wrappers around closed forms,
 central law is closed-form, ``scipy.special`` loads on the first
 noncentral call, and ``scipy.integrate`` (with the ``scipy.optimize``,
 ``scipy.sparse`` and ``scipy.linalg`` it pulls in) on the first call to
-:func:`integrate`.  The ``_check_*`` helpers hold the argument rules
-the other modules share, each written once.
+:func:`integrate`.  :func:`_real` and the ``_check_*`` helpers hold the
+argument rules the other modules share, each written once.
 """
 
 from __future__ import annotations
@@ -37,29 +37,34 @@ _QUAD_LIMIT = 200
 _MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
-def _as_float(value, name: str) -> float:
-    """``float(value)``, where an int beyond the double range is a :class:`DomainError`."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(
-            f"{name} must be a finite real, got an int beyond the double range"
-        ) from None
+def _real(value, name: str, inf: bool = False) -> float:
+    """``value`` as a float, if it is a finite Python or numpy int or float (or +-inf, with ``inf``).
+
+    Else :class:`DomainError`: a str, None, complex, array, ``Fraction`` or
+    ``Decimal`` is refused, as are NaN and an int beyond the double range.
+    """
+    if isinstance(value, _REALS):
+        try:
+            x = float(value)
+        except OverflowError:
+            raise DomainError(f"{name} must be a finite real, got an int beyond the double range") from None
+        if math.isfinite(x) or inf and not math.isnan(x):
+            return x
+    raise DomainError(f"{name} must be a {'' if inf else 'finite '}real, got {value!r}")
 
 
 def _check_fields(obj, names: tuple[str, ...], positive: tuple[str, ...] = ()) -> None:
     """Store the fields ``names`` of the frozen dataclass ``obj`` as floats.
 
-    Each must be a finite Python or numpy int or float, those in ``positive`` above 0.
+    Each must pass :func:`_real`, and those in ``positive`` must be above 0.
     """
     for name in names:
         v = getattr(obj, name)
-        if not (isinstance(v, _REALS) and math.isfinite(_as_float(v, name))):
-            raise DomainError(f"{name} must be a finite real, got {v!r}")
-        if name in positive and not v > 0.0:
+        x = _real(v, name)
+        if name in positive and not x > 0.0:
             raise DomainError(f"{name} must be positive, got {v!r}")
         if type(v) is not float:  # skipped for a float: a LocationScale is built per replicate
-            object.__setattr__(obj, name, float(v))
+            object.__setattr__(obj, name, x)
 
 
 def _shown(value) -> str:
@@ -71,9 +76,12 @@ def _shown(value) -> str:
 
 
 def _check_count(name: str, value, least: int, error: type[Exception]) -> int:
-    """``value`` as an int, if it is a whole number ``>= least``; else ``error``."""
-    if value % 1 != 0 or value < least:  # value % 1 is NaN for a NaN or infinite value
-        raise error(f"{name} must be an integer >= {least}, got {_shown(value)}")
+    """``value`` as an int, if it is a Python or numpy real with a whole value ``>= least``; else ``error``."""
+    if isinstance(value, np.floating):
+        value = float(value)  # a numpy inf % 1 would warn
+    real = isinstance(value, _REALS)
+    if not (real and value % 1 == 0 and value >= least):  # value % 1 is NaN for a NaN or inf
+        raise error(f"{name} must be an integer >= {least}, got {_shown(value) if real else repr(value)}")
     return int(value)
 
 
@@ -89,29 +97,16 @@ def _check_size(name: str, value) -> int:
     return n
 
 
-def _check_positive(x: float, name: str) -> float:
-    x = _as_float(x, name)
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"{name} must be a positive finite real, got {x}")
-    return x
-
-
-def _check_nonneg(x: float, name: str) -> float:
-    x = _as_float(x, name)
-    if not (math.isfinite(x) and x >= 0):
-        raise DomainError(f"{name} must be a nonnegative finite real, got {x}")
-    return x
-
-
 def chi2_sf(x: float) -> float:
     """Survival function of the chi-square(2) law: ``exp(-x/2)``."""
-    return math.exp(-0.5 * _check_nonneg(x, "x"))
+    if not (x := _real(x, "x")) >= 0.0:
+        raise DomainError(f"x must be a nonnegative finite real, got {x}")
+    return math.exp(-0.5 * x)
 
 
 def chi2_quantile(p: float) -> float:
     """Quantile of the chi-square(2) law: ``chi2_sf(-2 log(1 - p)) == 1 - p``."""
-    p = _as_float(p, "p")
-    if not (math.isfinite(p) and 0.0 < p < 1.0):
+    if not 0.0 < (p := _real(p, "p")) < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
     return -2.0 * math.log1p(-p)
 
@@ -125,11 +120,12 @@ def noncentral_chi2_sf(x: float, ncp: float) -> float:
     :class:`AccuracyError`.  ``scipy.special`` is imported on the first call
     with ``ncp > 0``.
     """
-    x = _check_nonneg(x, "x")
-    ncp = _check_nonneg(ncp, "ncp")
+    sf = chi2_sf(x)  # checks x
+    if not (ncp := _real(ncp, "ncp")) >= 0.0:
+        raise DomainError(f"ncp must be a nonnegative finite real, got {ncp}")
     if ncp == 0.0:
-        return chi2_sf(x)
-    cdf = float(_chi2_cdf(x, ncp))
+        return sf
+    cdf = float(_chi2_cdf(float(x), ncp))
     if math.isnan(cdf):
         raise AccuracyError(f"the noncentral chi-square law has no computed value at x={x}, ncp={ncp}")
     return 1.0 - cdf
@@ -160,7 +156,8 @@ def gamma_sample(
     returned, otherwise an array of ``size`` independent draws; a ``size``
     that does not fit in memory raises :class:`MemoryError`.
     """
-    shape = _check_positive(shape, "shape")
+    if not (shape := _real(shape, "shape")) > 0.0:
+        raise DomainError(f"shape must be a positive finite real, got {shape}")
     if size is None:
         return float(rng.standard_gamma(shape))
     return rng.standard_gamma(shape, _check_size("size", size))
@@ -175,12 +172,13 @@ def integrate(f: Callable[[float], float], domain: tuple[float, float]) -> float
     known singular point (e.g. at 0 for ``log|y|`` factors) and sum the
     parts.  Raises :class:`AccuracyError` carrying the best estimate when
     that accuracy cannot be certified.  ``scipy.integrate`` is imported on
-    the first call.
+    the first call.  An endpoint that is not a Python or numpy real, or is
+    NaN, raises :class:`DomainError`.
     """
     from scipy import integrate as _sp_integrate
 
-    lo, hi = (float(domain[0]), float(domain[1]))
-    if math.isnan(lo) or math.isnan(hi) or not lo < hi:
+    lo, hi = (_real(domain[k], "an integration endpoint", inf=True) for k in (0, 1))
+    if not lo < hi:
         raise DomainError(f"invalid integration domain {domain}")
     result = _sp_integrate.quad(
         f, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=_QUAD_LIMIT, full_output=1

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DomainError
 from .numerics import (
-    _as_float,
     _check_count,
     _check_fields,
+    _real,
     chi2_quantile,
     chi2_sf,
     noncentral_chi2_sf,
@@ -73,11 +73,12 @@ class TestReport:
 
 
 def check_lambda(lam: float) -> float:
-    """Validate the null tail exponent: ``lam >= 1`` with a finite ``lam^3``.
+    """Validate the null tail exponent: a Python or numpy real ``lam >= 1`` with a finite ``lam^3``.
 
     The closed forms divide by ``lam^3``, which overflows from about 5.6e102.
+    Anything else is a :class:`DomainError`.
     """
-    lam = _as_float(lam, "lam")
+    lam = _real(lam, "lam")
     if not (lam >= 1.0 and math.isfinite(lam * lam * lam)):
         raise DomainError(f"lam must be >= 1 with a finite cube (up to ~5.64e102), got {lam}")
     return lam
@@ -133,11 +134,14 @@ def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None):
     same doubles: ``np.power(..., out=)`` alone would skip the square-root
     fast path and take 1.8 times as long at lam = 1.5.  At exponent 2 the
     signed power is the one multiply ``|d| d``, the same doubles as the
-    square signed as ``d`` (-0, underflow and overflow included).
+    square signed as ``d`` (-0, underflow and overflow included); at
+    exponent 1 it is a copy of ``d``, which ``sign(d) |d|`` is bit for bit.
     """
     d = np.subtract(x, mu, out=d)
-    p = np.abs(d, out=p)
     e = lam - 1.0
+    if e == 1.0:
+        return d, np.positive(d, out=p)
+    p = np.abs(d, out=p)
     if e == 2.0:
         return d, np.multiply(p, d, out=p)
     if e == 0.5:
@@ -382,20 +386,19 @@ def score_covariance(lam: float) -> np.ndarray:
 
 
 def _check_alpha(alpha) -> float:
-    alpha = _as_float(alpha, "alpha")
+    alpha = _real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     return alpha
 
 
 def _check_delta(delta) -> np.ndarray:
-    try:
-        d = np.asarray(delta, dtype=float).ravel()
-    except OverflowError:
-        raise DomainError("delta must be a finite 2-vector, got an int beyond the double range") from None
-    if d.size != 2 or not np.isfinite(d).all():
-        raise DomainError(f"delta must be a finite 2-vector, got {delta}")
-    return d
+    """``delta`` as a float array, if it is a tuple, list or 1-d array of two finite reals."""
+    if not (isinstance(delta, (tuple, list)) or isinstance(delta, np.ndarray) and delta.ndim == 1):
+        delta = (_real(delta, "delta"),)  # a real scalar is one entry
+    if len(delta) != 2:
+        raise DomainError(f"delta must have 2 entries, got {len(delta)}")
+    return np.array([_real(v, "delta") for v in delta])
 
 
 def test_statistic(
@@ -420,7 +423,7 @@ def test_statistic(
     if not np.isfinite(r).all():
         raise DomainError(f"score must be finite, got {r}")
     with np.errstate(over="ignore"):
-        t = _t_stat(r, _as_float(n, "n"), lam)
+        t = _t_stat(r, _real(n, "n"), lam)
     if t == math.inf:
         raise DomainError(f"T overflows for the score {r} at n = {n}")
     return _report(n, lam, fit, r, t, chi2_sf(t), alpha)

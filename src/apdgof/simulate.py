@@ -67,8 +67,10 @@ class StudyConfig:
     scale used to generate the data.  The validated values are stored:
     ``lam`` as a float, ``n``, ``reps`` and ``seed`` as ints, ``alpha_grid``
     and ``delta`` as tuples of floats, and ``loc_scale`` as the given
-    :class:`LocationScale`, whose fields are floats.  An invalid field
-    raises :class:`ConfigError`.
+    :class:`LocationScale`, whose fields are floats.  ``lam``, each level of
+    ``alpha_grid`` (a tuple or list) and each entry of ``delta`` must be a
+    Python or numpy int or float, and the counts whole numbers.  An invalid
+    field raises :class:`ConfigError`.
     """
 
     lam: float
@@ -80,6 +82,8 @@ class StudyConfig:
     loc_scale: LocationScale = LocationScale(0.0, 1.0)
 
     def __post_init__(self):
+        if not isinstance(self.alpha_grid, (tuple, list)):
+            raise ConfigError(f"alpha_grid must be a tuple or list of levels, got {self.alpha_grid!r}")
         try:
             fields = {
                 "lam": check_lambda(self.lam),
@@ -89,7 +93,7 @@ class StudyConfig:
                 "alpha_grid": tuple(map(_check_alpha, self.alpha_grid)),
                 "delta": None if self.delta is None else tuple(_check_delta(self.delta).tolist()),
             }
-        except (TypeError, ValueError) as exc:
+        except DomainError as exc:
             raise ConfigError(str(exc)) from None
         alphas = fields["alpha_grid"]
         if not alphas or len(set(alphas)) != len(alphas):
@@ -228,10 +232,7 @@ def _study(
     must be an integer >= 1, else :class:`ConfigError`; the pool is capped
     at the CPUs this process may use.
     """
-    try:
-        workers = _check_count("workers", workers, 1, ConfigError)
-    except TypeError:  # a str or None has no % 1 to take
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}") from None
+    workers = _check_count("workers", workers, 1, ConfigError)
     _check_size("reps", cfg.reps)  # the statistics and p-values are arrays of reps floats
     params = apd.ApdParams(*theta, mu=cfg.loc_scale.mu, sigma=cfg.loc_scale.sigma)
     block = partial(_replicate_block, params, cfg.lam, cfg.n, cfg.seed)

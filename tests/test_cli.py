@@ -735,6 +735,19 @@ class TestErrorMapping:
         assert "Traceback" not in proc.stderr
         assert proc.returncode == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            (("simulate", "size", "--lambda", "2", "--sigma", "-1"),
+             "error: --mu/--sigma: sigma must be positive, got -1.0\n"),
+            (("sample", "--theta1", "1.5", "--theta2", "2", "--n", "5", "--output", "x.txt"),
+             "error: --theta1/--theta2/--mu/--sigma: theta1 must lie in (0, 1), got 1.5\n"),
+        ],
+    )
+    def test_bad_distribution_parameter_names_its_flags(self, capsys, args, expected):
+        # the message named the field but not the flags it came from
+        assert run_cli(capsys, *args) == (EXIT_USAGE, "", expected)
+
     def test_study_leaving_parameter_space_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "power", "--lambda", "2", "--n", "16",

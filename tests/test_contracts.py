@@ -1,0 +1,126 @@
+"""Argument contract: every public scalar argument refuses a non-real with its typed error.
+
+Each argument below is fed the same value, 2, in forms that are not a
+Python or numpy int or float: a str, None, a complex, a 0-d and a 1-d
+array, a ``Fraction`` and a ``Decimal``.  Each must raise the
+:class:`ApdGofError` subclass its function documents (``ConfigError`` in a
+study), never a bare ``TypeError`` or ``ValueError``, and no warning; the
+message shows the value by ``repr``.  An int beyond the double range is
+refused as well, or is the :class:`MemoryError` of a count no array can
+hold, or is accepted where the argument is a count with no upper bound.
+"""
+
+from __future__ import annotations
+
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from apdgof import LocationScale, StudyConfig, apd, numerics, score, simulate
+from apdgof.errors import ConfigError, DomainError
+
+DATA = np.array([0.3, -1.2, 2.5, 0.7, -0.1])
+CFG = StudyConfig(lam=2.0, n=16, reps=100, seed=1)
+
+NON_REALS = [
+    pytest.param("2", id="str"),
+    pytest.param(None, id="None"),
+    pytest.param(2j, id="complex"),
+    pytest.param(np.array(2.0), id="array-0d"),
+    pytest.param(np.array([2.0]), id="array-1d"),
+    pytest.param(Fraction(2), id="Fraction"),
+    pytest.param(Decimal(2), id="Decimal"),
+]
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+# name: (call with the argument set to the value, error of a non-real, outcome of 10**400)
+# where an outcome of None means the value is accepted.
+ARGS = {
+    "check_lambda.lam": (score.check_lambda, DomainError, DomainError),
+    "run_test.lam": (lambda v: score.run_test(DATA, v), DomainError, DomainError),
+    "fisher_information.lam": (score.fisher_information, DomainError, DomainError),
+    "score_covariance.lam": (score.score_covariance, DomainError, DomainError),
+    "noncentrality.lam": (lambda v: score.noncentrality((0.5, 0.3), v), DomainError, DomainError),
+    "run_test.alpha": (lambda v: score.run_test(DATA, 2.0, alpha=v), DomainError, DomainError),
+    "asymptotic_power.alpha": (
+        lambda v: score.asymptotic_power((0.5, 0.3), 2.0, v), DomainError, DomainError
+    ),
+    "test_statistic.n": (lambda v: score.test_statistic([0.1, 0.0], v, 2.0), DomainError, DomainError),
+    "sample.n": (lambda v: apd.sample(apd.ApdParams(0.5, 2.0), v, _rng()), DomainError, MemoryError),
+    "chi2_sf.x": (numerics.chi2_sf, DomainError, DomainError),
+    "chi2_quantile.p": (numerics.chi2_quantile, DomainError, DomainError),
+    "noncentral_chi2_sf.x": (lambda v: numerics.noncentral_chi2_sf(v, 1.0), DomainError, DomainError),
+    "noncentral_chi2_sf.ncp": (lambda v: numerics.noncentral_chi2_sf(1.0, v), DomainError, DomainError),
+    "gamma_sample.shape": (lambda v: numerics.gamma_sample(v, _rng()), DomainError, DomainError),
+    "gamma_sample.size": (lambda v: numerics.gamma_sample(1.0, _rng(), v), DomainError, MemoryError),
+    "StudyConfig.lam": (lambda v: StudyConfig(v, 16, 100, 1), ConfigError, ConfigError),
+    "StudyConfig.n": (lambda v: StudyConfig(2.0, v, 100, 1), ConfigError, None),
+    "StudyConfig.reps": (lambda v: StudyConfig(2.0, 16, v, 1), ConfigError, None),
+    "StudyConfig.seed": (lambda v: StudyConfig(2.0, 16, 100, v), ConfigError, ConfigError),
+    "StudyConfig.alpha_grid": (
+        lambda v: StudyConfig(2.0, 16, 100, 1, alpha_grid=v), ConfigError, ConfigError
+    ),
+    "StudyConfig.alpha_grid[0]": (
+        lambda v: StudyConfig(2.0, 16, 100, 1, alpha_grid=(v,)), ConfigError, ConfigError
+    ),
+    "StudyConfig.delta[0]": (
+        lambda v: StudyConfig(2.0, 16, 100, 1, delta=(v, 0.3)), ConfigError, ConfigError
+    ),
+    "StudyConfig.loc_scale": (
+        lambda v: StudyConfig(2.0, 16, 100, 1, loc_scale=v), ConfigError, ConfigError
+    ),
+    "mc_fisher_check.n_draws": (lambda v: simulate.mc_fisher_check(2.0, v, 1), ConfigError, MemoryError),
+    "run_null_study.workers": (lambda v: simulate.run_null_study(CFG, workers=v), ConfigError, None),
+}
+
+# A size of None asks gamma_sample for a single draw, and a level of None
+# asks run_test for a report without a decision.
+ACCEPTS_NONE = {"gamma_sample.size", "run_test.alpha"}
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    # An accepted worker count is capped at the CPUs: keep the study in this process.
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", NON_REALS)
+@pytest.mark.parametrize("arg", list(ARGS))
+def test_non_real_is_typed_error(arg, value):
+    call, error, _ = ARGS[arg]
+    if value is None and arg in ACCEPTS_NONE:
+        call(value)
+        return
+    with pytest.raises(error) as excinfo:
+        call(value)
+    assert repr(value) in str(excinfo.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("arg", list(ARGS))
+def test_int_beyond_the_double_range(arg, one_cpu):
+    call, _, outcome = ARGS[arg]
+    if outcome is None:
+        call(10**400)
+    else:
+        with pytest.raises(outcome):
+            call(10**400)
+
+
+def test_every_scalar_argument_accepts_python_and_numpy_reals():
+    # The narrowed rule keeps what it always took: a Python or numpy int or float.
+    for v in (2, 2.0, np.int64(2), np.float32(2.0)):
+        assert score.check_lambda(v) == 2.0
+        assert numerics.chi2_sf(v) == numerics.chi2_sf(2.0)
+        assert score.test_statistic([0.1, 0.0], v, 2.0).n == 2
+    cfg = StudyConfig(np.int64(2), np.float64(16), 100, 1, alpha_grid=[np.float32(0.5)],
+                      delta=np.array([0.5, 0.3]), loc_scale=LocationScale(np.int64(1), 2))
+    assert (cfg.lam, cfg.n, cfg.alpha_grid, cfg.delta) == (2.0, 16, (0.5,), (0.5, 0.3))

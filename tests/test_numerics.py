@@ -335,6 +335,17 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(math.exp, (math.nan, 1.0))
 
+    @pytest.mark.parametrize("endpoint", ["a", None, 10**400], ids=["str", "None", "1e400"])
+    def test_endpoint_not_a_real(self, endpoint):
+        # float() raised a bare ValueError, TypeError or OverflowError
+        with pytest.raises(DomainError, match="integration endpoint"):
+            integrate(math.exp, (endpoint, 1.0))
+        with pytest.raises(DomainError, match="integration endpoint"):
+            integrate(math.exp, (0.0, endpoint))
+
+    def test_numpy_infinite_endpoints(self):
+        assert_allclose(integrate(math.exp, (-np.inf, np.float32(0.0))), 1.0, rtol=0, atol=1e-10)
+
 
 
 HUGE = 10**400  # an int that float() cannot convert: a bare OverflowError before

@@ -207,9 +207,10 @@ class TestNullStudy:
         assert run_null_study(cfg, workers=10**6).to_json() == run_null_study(cfg).to_json()
         assert seen == pools
 
-    @pytest.mark.parametrize("workers", [0, -3, 1.5, math.nan, "2", None])
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, math.nan, "2", None, np.float64(math.inf)])
     def test_bad_worker_count(self, workers):
-        # 0 and -3 ran serially; "2" and None raised TypeError, nan ValueError.
+        # 0 and -3 ran serially; "2" and None raised TypeError, nan ValueError,
+        # and a numpy inf warned in inf % 1.
         cfg = StudyConfig(lam=2.0, n=16, reps=100, seed=1)
         with pytest.raises(ConfigError, match="^workers must be an integer >= 1"):
             run_null_study(cfg, workers=workers)
