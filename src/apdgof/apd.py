@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _check_fields, _check_size, gamma_sample
+from .numerics import _check_fields, _check_size, _reals, gamma_sample
 
 _LOG2 = math.log(2.0)
 # Where the incomplete-gamma argument t falls below this, e^-t and the
@@ -99,15 +99,18 @@ def _log_norm_const(p: ApdParams) -> float:
     return inv * (_log_delta(p.theta1, p.theta2) - _LOG2) - math.lgamma(1.0 + inv)
 
 
+def _standardized(x, p: ApdParams):
+    """``y = (x - mu) / sigma`` of data ``x``, and ``z = delta^(1/theta2) |y| / A(y)``, inf far out."""
+    y = (_reals(x, "x") - p.mu) / p.sigma
+    with np.errstate(over="ignore"):
+        return y, _root_delta(p.theta1, p.theta2) * np.abs(y) / np.where(y < 0, p.theta1, 1.0 - p.theta1)
+
+
 def log_pdf(x, p: ApdParams):
     """Log density at ``x`` (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("x must be finite")
-    y = (x - p.mu) / p.sigma
-    base = np.where(y < 0, p.theta1, 1.0 - p.theta1)
+    z = _standardized(x, p)[1]
     with np.errstate(over="ignore"):  # far in the tails the power is inf: log density -inf
-        tail = (_root_delta(p.theta1, p.theta2) * np.abs(y) / base) ** p.theta2
+        tail = z**p.theta2
     out = _log_norm_const(p) - 0.5 * tail - math.log(p.sigma)
     return float(out) if out.ndim == 0 else out
 
@@ -127,13 +130,9 @@ def cdf(x, p: ApdParams):
     """
     from scipy import special as sc
 
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("x must be finite")
-    y = (x - p.mu) / p.sigma
+    y, z = _standardized(x, p)
     t1, t2 = p.theta1, p.theta2
     a = 1.0 / t2
-    z = _root_delta(t1, t2) * np.abs(y) / np.where(y < 0, t1, 1.0 - t1)
     with np.errstate(over="ignore", divide="ignore"):
         t = 0.5 * z**t2
         # Below _TINY, P(a, t) = t^a / Gamma(1 + a) to double precision, and
@@ -155,7 +154,7 @@ def quantile(u, p: ApdParams):
     """
     from scipy import special as sc
 
-    u = np.asarray(u, dtype=float)
+    u = _reals(u, "u")
     if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("u must lie in (0, 1)")
     t1, t2 = p.theta1, p.theta2

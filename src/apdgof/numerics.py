@@ -8,8 +8,8 @@ adaptive quadrature are validated wrappers around closed forms,
 central law is closed-form, ``scipy.special`` loads on the first
 noncentral call, and ``scipy.integrate`` (with the ``scipy.optimize``,
 ``scipy.sparse`` and ``scipy.linalg`` it pulls in) on the first call to
-:func:`integrate`.  :func:`_real` and the ``_check_*`` helpers hold the
-argument rules the other modules share, each written once.
+:func:`integrate`.  :func:`_real`, :func:`_reals` and the ``_check_*``
+helpers hold the argument rules the other modules share, each written once.
 """
 
 from __future__ import annotations
@@ -51,6 +51,29 @@ def _real(value, name: str, inf: bool = False) -> float:
         if math.isfinite(x) or inf and not math.isnan(x):
             return x
     raise DomainError(f"{name} must be a {'' if inf else 'finite '}real, got {value!r}")
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array of its own shape, if it holds ints or floats and all are finite.
+
+    A float64 array is returned as it is.  Else :class:`DomainError`: bool,
+    complex, str, bytes, object (None, ``Fraction``, ``Decimal``, an int
+    beyond int64) and datetime arrays are refused, as are a ragged sequence
+    and NaN or +-inf.  A message names the dtype or the first bad entry,
+    never the whole array.
+    """
+    try:
+        x = np.asarray(values)
+    except ValueError:  # numpy's refusal of a ragged sequence
+        raise DomainError(f"{name} must be an array of reals, got a ragged sequence") from None
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must hold ints or floats, got dtype {x.dtype}")
+    with np.errstate(over="ignore"):  # a longdouble beyond the double range becomes inf
+        x = x.astype(float, copy=False)
+    if not (ok := np.isfinite(x)).all():
+        k = int(ok.argmin())
+        raise DomainError(f"{name} must be finite, got {x.flat[k]} at index {k}")
+    return x
 
 
 def _check_fields(obj, names: tuple[str, ...], positive: tuple[str, ...] = ()) -> None:

@@ -21,6 +21,7 @@ from .numerics import (
     _check_count,
     _check_fields,
     _real,
+    _reals,
     chi2_quantile,
     chi2_sf,
     noncentral_chi2_sf,
@@ -96,7 +97,7 @@ def stacked_scores(y, lam: float):
     the location row 0 even for ``lam = 1``.
     """
     lam = check_lambda(lam)
-    y = np.asarray(y, dtype=float)
+    y = _reals(y, "y")
     ay = np.abs(y)
     sgn = np.sign(y)
     pw = ay**lam
@@ -110,15 +111,12 @@ def _lifted_log(a, out=None):
     return np.log(np.maximum(a, math.ulp(0.0), out=out), out=out)
 
 
-def _as_clean_data(data) -> tuple[np.ndarray, float, float]:
-    """The data as a flat float array, with its minimum and maximum."""
-    x = np.asarray(data, dtype=float).ravel()
+def _as_clean_data(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Finite float data ``x`` as a flat array, with its minimum and maximum."""
+    x = x.ravel()
     if x.size < 2:
         raise DegenerateSampleError(f"need at least 2 observations, got {x.size}")
-    # min and max propagate NaN, so both finite means every value is.
     lo, hi = float(x.min()), float(x.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("data must be finite")
     if hi == lo:
         raise DegenerateSampleError("data has zero spread")
     return x, lo, hi
@@ -159,52 +157,46 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     (:func:`_residuals`; at lam = 3 the one multiply ``|d| d``), takes s from
     ``p`` and s' from ``p`` over ``d`` (written over ``d``): a signed
     ``p / d`` is ``|p| / |d|`` bit for bit, and 0/0 is still NaN.  When a
-    pass ends the solve, ``d`` is formed again and ``p`` is returned as it
-    stands; out of passes, and for lam in {1, 2}, both come from
-    :func:`_residuals` at ``mu``.
+    pass ends the solve, ``p`` is returned as it stands, with ``d`` as the
+    pass formed it (at s = 0) or formed again (a closed bracket); out of
+    passes, and for lam in {1, 2}, both come from :func:`_residuals` at ``mu``.
     """
-    d = p = None
-    if lam == 1.0:
-        mu = float(np.median(x))
-    elif lam == 2.0:
-        mu = float(np.mean(x))
-    else:
-        # Full convergence keeps the statistic affine-invariant to ~1e-10
-        # even for shifted data.  s' is 0/0 when mu sits on a data point and
-        # may overflow for lam near 1; either way the pass bisects.  A step
-        # not under half the previous one means Newton cycles or walks the
-        # rounding noise of s near the root: doubled, it lands past the root
-        # and closes the bracket from the far side.  A step that rounds to mu
-        # moves one ulp instead.
-        mu = min(max(float(np.mean(x)), lo), hi)
-        dx = hi - lo
-        d, p = np.empty_like(x), np.empty_like(x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(_ROOT_MAX_ITER):
-                _residuals(x, mu, lam, d, p)
-                s = float(p.sum())
-                if s > 0.0:
-                    lo = mu
-                elif s < 0.0:
-                    hi = mu
-                else:
-                    break
-                ds = (lam - 1.0) * float(np.divide(p, d, out=d).sum())
-                h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
-                if 2.0 * abs(h) > abs(dx):
-                    h *= 2.0
-                step = mu + h
-                if step == mu:
-                    step = math.nextafter(mu, hi if s > 0.0 else lo)
-                elif not lo < step < hi:
-                    step = 0.5 * (lo + hi)
-                if step == lo or step == hi:
-                    break
-                dx, mu = step - mu, step
+    if lam == 1.0 or lam == 2.0:
+        mu = float(np.median(x) if lam == 1.0 else np.mean(x))
+        return (mu, *_residuals(x, mu, lam))
+    # Full convergence keeps the statistic affine-invariant to ~1e-10 even
+    # for shifted data.  s' is 0/0 when mu sits on a data point and may
+    # overflow for lam near 1; either way the pass bisects.  A step not under
+    # half the previous one means Newton cycles or walks the rounding noise
+    # of s near the root: doubled, it lands past the root and closes the
+    # bracket from the far side.  A step that rounds to mu moves one ulp
+    # instead.
+    mu = min(max(float(np.mean(x)), lo), hi)
+    dx = hi - lo
+    d, p = np.empty_like(x), np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ROOT_MAX_ITER):
+            _residuals(x, mu, lam, d, p)
+            s = float(p.sum())
+            if s > 0.0:
+                lo = mu
+            elif s < 0.0:
+                hi = mu
             else:
-                p = None  # out of passes: the last power was formed at the previous mu
-            if p is not None:
+                return mu, d, p
+            ds = (lam - 1.0) * float(np.divide(p, d, out=d).sum())
+            h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
+            if 2.0 * abs(h) > abs(dx):
+                h *= 2.0
+            step = mu + h
+            if step == mu:
+                step = math.nextafter(mu, hi if s > 0.0 else lo)
+            elif not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if step == lo or step == hi:
                 return mu, np.subtract(x, mu, out=d), p
+            dx, mu = step - mu, step
+    # Out of passes: the last power was formed at the previous mu.
     return (mu, *_residuals(x, mu, lam, d, p))
 
 
@@ -240,7 +232,7 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     same arrays.
     """
     lam = check_lambda(lam)
-    mu, sigma = _fit(*_as_clean_data(data), lam)[:2]
+    mu, sigma = _fit(*_as_clean_data(_reals(data, "data")), lam)[:2]
     return LocationScale(mu=mu, sigma=sigma)
 
 
@@ -275,7 +267,9 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
     its fit's own residuals with the same code.
     """
     lam = check_lambda(lam)
-    d, p = _residuals(np.asarray(data, dtype=float).ravel(), fit.mu, lam)
+    if not isinstance(fit, LocationScale):
+        raise DomainError(f"fit must be a LocationScale, got {fit!r}")
+    d, p = _residuals(_reals(data, "data").ravel(), fit.mu, lam)
     return _mean_shape_score(d, np.multiply(p, d, out=p), fit.sigma, lam)
 
 
@@ -417,11 +411,9 @@ def test_statistic(
     """
     lam = check_lambda(lam)
     n = _check_count("n", n, 2, DomainError)
-    r = np.asarray(score, dtype=float).ravel()
+    r = _reals(score, "score").ravel()
     if r.size != 2:
         raise DomainError(f"score must have 2 entries, got {r.size}")
-    if not np.isfinite(r).all():
-        raise DomainError(f"score must be finite, got {r}")
     with np.errstate(over="ignore"):
         t = _t_stat(r, _real(n, "n"), lam)
     if t == math.inf:
@@ -477,16 +469,17 @@ def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:
     transformations of the data.
     """
     lam = check_lambda(lam)
-    n, mu, sigma, r, t, p = _test(data, lam)
+    n, mu, sigma, r, t, p = _test(_reals(data, "data"), lam)
     return _report(n, lam, LocationScale(mu=mu, sigma=sigma), r, t, p, alpha)
 
 
-def _test(data, lam: float) -> tuple[int, float, float, np.ndarray, float, float]:
+def _test(x: np.ndarray, lam: float) -> tuple[int, float, float, np.ndarray, float, float]:
     """:func:`run_test` at a checked ``lam``, without its report: ``(n, mu, sigma, r, T, p)``.
 
-    A study checks its arguments once and calls this for each replicate.
+    ``x`` is finite float data (:func:`_reals`).  A study checks its arguments
+    once and calls this on each replicate's draws, which ``apd.sample`` checked.
     """
-    x, lo, hi = _as_clean_data(data)
+    x, lo, hi = _as_clean_data(x)
     mu, sigma, d, adl = _fit(x, lo, hi, lam)
     r = _mean_shape_score(d, adl, sigma, lam)
     t = _t_stat(r, x.size, lam)

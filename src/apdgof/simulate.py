@@ -20,13 +20,13 @@ import numpy as np
 
 from . import apd
 from .errors import ConfigError, DegenerateSampleError, DomainError
-from .numerics import _check_count, _check_size, _chi2_cdf, integrate
+from .numerics import _check_count, _check_size, _chi2_cdf, _reals, chi2_quantile, integrate
+from .numerics import noncentral_chi2_sf
 from .score import (
     LocationScale,
     _check_alpha,
     _check_delta,
     _test,
-    asymptotic_power,
     check_lambda,
     fit_null_mle,
     noncentrality,
@@ -182,18 +182,20 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     """Random stream for replicate ``index``, derived from ``(seed, index)``.
 
     Uses a spawn-key seed sequence, so streams are independent of how
-    replicates are scheduled across workers.
+    replicates are scheduled across workers.  ``seed`` follows the
+    :class:`StudyConfig` rule, and ``index`` is a count from 0.
     """
+    seed, index = _check_seed(seed), _check_count("index", index, 0, ConfigError)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 def ks_distance(values, cdf) -> float:
     """Kolmogorov-Smirnov distance between a sample and a reference CDF."""
-    x = np.sort(np.asarray(values, dtype=float))
+    x = np.sort(_reals(values, "values"))
     n = x.size
     if n == 0:
         raise ConfigError("cannot compute a KS distance from an empty sample")
-    c = np.asarray(cdf(x), dtype=float)
+    c = _reals(cdf(x), "cdf(values)")
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - c, c - (i - 1) / n)))
 
@@ -221,17 +223,19 @@ def _replicate_block(
     return t, p
 
 
-def _study(
-    cfg: StudyConfig, kind: str, theta: tuple[float, float], ncp: float, workers: int
-) -> StudyReport:
-    """Run ``cfg.reps`` replicates drawn with shape pair ``theta`` and summarise them.
+def _study(cfg: StudyConfig, workers: int) -> StudyReport:
+    """Run and summarise ``cfg.reps`` replicates: a power study if ``cfg.delta`` is set, else a size study.
 
     Rejection rates are taken over the replicates that did not fail, next
     to the predicted asymptotic power in a power study; the KS distance is
-    against the chi-square(2) law with noncentrality ``ncp``.  ``workers``
-    must be an integer >= 1, else :class:`ConfigError`; the pool is capped
-    at the CPUs this process may use.
+    against the chi-square(2) law with the noncentrality of ``cfg.delta``
+    (0 in a size study).  ``workers`` must be an integer >= 1, else
+    :class:`ConfigError`; the pool is capped at the CPUs this process may use.
     """
+    if cfg.delta is None:
+        kind, ncp, theta = "size", 0.0, (0.5, cfg.lam)
+    else:
+        kind, ncp, theta = "power", noncentrality(cfg.delta, cfg.lam), cfg.shifted_shape()
     workers = _check_count("workers", workers, 1, ConfigError)
     _check_size("reps", cfg.reps)  # the statistics and p-values are arrays of reps floats
     params = apd.ApdParams(*theta, mu=cfg.loc_scale.mu, sigma=cfg.loc_scale.sigma)
@@ -256,7 +260,7 @@ def _study(
     rejections = []
     for a in cfg.alpha_grid:
         rate = float(np.count_nonzero(p < a) / m)
-        predicted = asymptotic_power(cfg.delta, cfg.lam, a) if kind == "power" else None
+        predicted = noncentral_chi2_sf(chi2_quantile(1.0 - a), ncp) if kind == "power" else None
         rejections.append(RejectionRate(a, rate, math.sqrt(rate * (1.0 - rate) / m), predicted))
     return StudyReport(
         kind=kind,
@@ -275,7 +279,7 @@ def run_null_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
     """
     if cfg.delta is not None:
         raise ConfigError("null study must not set delta")
-    return _study(cfg, "size", (0.5, cfg.lam), 0.0, workers)
+    return _study(cfg, workers)
 
 
 def run_local_alternative_study(cfg: StudyConfig, workers: int = 1) -> StudyReport:
@@ -287,8 +291,7 @@ def run_local_alternative_study(cfg: StudyConfig, workers: int = 1) -> StudyRepo
     """
     if cfg.delta is None:
         raise ConfigError("local-alternative study requires delta")
-    ncp = noncentrality(cfg.delta, cfg.lam)
-    return _study(cfg, "power", cfg.shifted_shape(), ncp, workers)
+    return _study(cfg, workers)
 
 
 def mc_fisher_check(lam: float, n_draws: int, seed: int) -> McFisherCheck:

@@ -5,7 +5,8 @@ Python blocks import from ``apdgof``, plus the error classes and
 ``__version__``; everything else stays in the submodules.  Each README
 Python block is also run, so the quick start cannot go stale.  Every name
 the benchmark's tracer patches (``TRACED`` in ``benchmarks/tracing.py``)
-must still be a function of its module.
+must still be a function of its module.  Data arrays enter the package
+through one rule: ``np.asarray`` is called only in ``numerics._reals``.
 """
 
 import ast
@@ -68,3 +69,28 @@ def traced_names() -> list[str]:
 def test_traced_name_is_a_function(name):
     module, attr = name.split(".")
     assert callable(getattr(importlib.import_module(f"apdgof.{module}"), attr, None))
+
+
+def asarray_sites() -> list[str]:
+    """Where ``src/apdgof`` calls ``asarray`` or ``asanyarray``: ``module.function`` for each call."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("asarray", "asanyarray"):
+                    sites.append(where)
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "apdgof").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sites
+
+
+def test_data_arrays_are_coerced_in_one_place():
+    assert asarray_sites() == ["numerics._reals"]
