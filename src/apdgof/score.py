@@ -20,6 +20,7 @@ from .errors import DegenerateSampleError, DomainError
 from .numerics import (
     _check_count,
     _check_fields,
+    _power,
     _real,
     _reals,
     chi2_quantile,
@@ -111,11 +112,17 @@ def _lifted_log(a, out=None):
     return np.log(np.maximum(a, math.ulp(0.0), out=out), out=out)
 
 
-def _as_clean_data(x: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Finite float data ``x`` as a flat array, with its minimum and maximum."""
+def _observations(x: np.ndarray) -> np.ndarray:
+    """Float data ``x`` as a flat array, if it holds 2 observations or more; else :class:`DegenerateSampleError`."""
     x = x.ravel()
     if x.size < 2:
         raise DegenerateSampleError(f"need at least 2 observations, got {x.size}")
+    return x
+
+
+def _as_clean_data(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Finite float data ``x`` as a flat array, with its minimum and maximum."""
+    x = _observations(x)
     lo, hi = float(x.min()), float(x.max())
     if hi == lo:
         raise DegenerateSampleError("data has zero spread")
@@ -127,13 +134,13 @@ def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None):
 
     Both are written into the buffers ``d`` and ``p`` when given.  ``|d|^lam``
     is the product ``p d``: the signs of ``p`` and ``d`` match, so it is
-    never negative (``copysign(1, -0) * -0`` is +0).  The power is formed in
-    place by the kernel the ``**`` operator would pick for the exponent, the
-    same doubles: ``np.power(..., out=)`` alone would skip the square-root
-    fast path and take 1.8 times as long at lam = 1.5.  At exponent 2 the
-    signed power is the one multiply ``|d| d``, the same doubles as the
-    square signed as ``d`` (-0, underflow and overflow included); at
-    exponent 1 it is a copy of ``d``, which ``sign(d) |d|`` is bit for bit.
+    never negative (``copysign(1, -0) * -0`` is +0).  The power of ``|d|``
+    is formed in place by ``numerics._power``, the kernel the ``**``
+    operator picks for the exponent (the one ``apd.sample`` draws with), so
+    the doubles are the same.  At exponent 2 the signed power is the one
+    multiply ``|d| d``, the same doubles as the square signed as ``d`` (-0,
+    underflow and overflow included); at exponent 1 it is a copy of ``d``,
+    which ``sign(d) |d|`` is bit for bit.
     """
     d = np.subtract(x, mu, out=d)
     e = lam - 1.0
@@ -142,11 +149,7 @@ def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None):
     p = np.abs(d, out=p)
     if e == 2.0:
         return d, np.multiply(p, d, out=p)
-    if e == 0.5:
-        np.sqrt(p, out=p)
-    else:
-        np.power(p, e, out=p)
-    return d, np.copysign(p, d, out=p)
+    return d, np.copysign(_power(p, e), d, out=p)
 
 
 def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
@@ -156,13 +159,19 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     allocates once.  Each pass writes ``d`` and the signed power ``p``
     (:func:`_residuals`; at lam = 3 the one multiply ``|d| d``), takes s from
     ``p`` and s' from ``p`` over ``d`` (written over ``d``): a signed
-    ``p / d`` is ``|p| / |d|`` bit for bit, and 0/0 is still NaN.  When a
-    pass ends the solve, ``p`` is returned as it stands, with ``d`` as the
-    pass formed it (at s = 0) or formed again (a closed bracket); out of
-    passes, and for lam in {1, 2}, both come from :func:`_residuals` at ``mu``.
+    ``p / d`` is ``|p| / |d|`` bit for bit, and 0/0 is still NaN.  A pass
+    ends the solve before that divide when s = 0 or when the sign of s
+    leaves no double strictly inside the bracket, where every step would
+    land on an end and stop; ``d`` and ``p`` are returned as the pass formed
+    them.  Out of passes, and for lam in {1, 2}, both come from
+    :func:`_residuals` at ``mu``.  Sums are ``np.add.reduce``, the pairwise
+    sum of ``ndarray.sum`` without its Python wrapper.
     """
-    if lam == 1.0 or lam == 2.0:
-        mu = float(np.median(x) if lam == 1.0 else np.mean(x))
+    if lam == 1.0:
+        mu = float(np.median(x))
+        return (mu, *_residuals(x, mu, lam))
+    mu = float(np.add.reduce(x)) / x.size  # the double np.mean gives
+    if lam == 2.0:
         return (mu, *_residuals(x, mu, lam))
     # Full convergence keeps the statistic affine-invariant to ~1e-10 even
     # for shifted data.  s' is 0/0 when mu sits on a data point and may
@@ -171,20 +180,22 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     # of s near the root: doubled, it lands past the root and closes the
     # bracket from the far side.  A step that rounds to mu moves one ulp
     # instead.
-    mu = min(max(float(np.mean(x)), lo), hi)
+    mu = min(max(mu, lo), hi)
     dx = hi - lo
     d, p = np.empty_like(x), np.empty_like(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_ROOT_MAX_ITER):
             _residuals(x, mu, lam, d, p)
-            s = float(p.sum())
+            s = float(np.add.reduce(p))
             if s > 0.0:
                 lo = mu
             elif s < 0.0:
                 hi = mu
             else:
                 return mu, d, p
-            ds = (lam - 1.0) * float(np.divide(p, d, out=d).sum())
+            if not math.nextafter(lo, hi) < hi:  # no double left inside: every step lands on an end
+                return mu, d, p
+            ds = (lam - 1.0) * float(np.add.reduce(np.divide(p, d, out=d)))
             h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
             if 2.0 * abs(h) > abs(dx):
                 h *= 2.0
@@ -193,8 +204,6 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
                 step = math.nextafter(mu, hi if s > 0.0 else lo)
             elif not lo < step < hi:
                 step = 0.5 * (lo + hi)
-            if step == lo or step == hi:
-                return mu, np.subtract(x, mu, out=d), p
             dx, mu = step - mu, step
     # Out of passes: the last power was formed at the previous mu.
     return (mu, *_residuals(x, mu, lam, d, p))
@@ -207,7 +216,7 @@ def _fit(x: np.ndarray, lo: float, hi: float, lam: float):
     """
     mu, d, p = _locate(x, lo, hi, lam)
     adl = np.multiply(p, d, out=p)
-    sigma = (0.5 * lam * float(adl.sum()) / x.size) ** (1.0 / lam)
+    sigma = (0.5 * lam * float(np.add.reduce(adl)) / x.size) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")
     return mu, sigma, d, adl
@@ -248,11 +257,11 @@ def _mean_shape_score(d, adl, sigma: float, lam: float) -> np.ndarray:
     taken back as the absolute value of the signed weights.
     """
     w = np.multiply(adl, np.power(sigma, -lam), out=adl)
-    r1 = -lam * float(np.copysign(w, d, out=w).sum()) / d.size
+    r1 = -lam * float(np.add.reduce(np.copysign(w, d, out=w))) / d.size
     wlog = np.divide(np.abs(d, out=d), sigma, out=d)
     _lifted_log(wlog, out=wlog)
     wlog *= np.abs(w, out=w)
-    r2 = -0.5 * (float(wlog.sum()) / d.size - 2.0 / lam**2 * _nu(lam))
+    r2 = -0.5 * (float(np.add.reduce(wlog)) / d.size - 2.0 / lam**2 * _nu(lam))
     return np.array([r1, r2])
 
 
@@ -264,12 +273,14 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
     point (the ``y = 0`` conventions of :func:`stacked_scores`).  The residual
     power is the location solve's signed ``sign(d) |d|^(lam-1)``, times
     ``d``, in two arrays the size of the data, and :func:`run_test` averages
-    its fit's own residuals with the same code.
+    its fit's own residuals with the same code.  Data of fewer than 2
+    observations raise :class:`DegenerateSampleError`, as in
+    :func:`fit_null_mle`.
     """
     lam = check_lambda(lam)
     if not isinstance(fit, LocationScale):
         raise DomainError(f"fit must be a LocationScale, got {fit!r}")
-    d, p = _residuals(_reals(data, "data").ravel(), fit.mu, lam)
+    d, p = _residuals(_observations(_reals(data, "data")), fit.mu, lam)
     return _mean_shape_score(d, np.multiply(p, d, out=p), fit.sigma, lam)
 
 

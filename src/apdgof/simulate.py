@@ -190,12 +190,21 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def ks_distance(values, cdf) -> float:
-    """Kolmogorov-Smirnov distance between a sample and a reference CDF."""
-    x = np.sort(_reals(values, "values"))
+    """Kolmogorov-Smirnov distance between a sample and a reference CDF.
+
+    ``values`` must be 1-d, and ``cdf`` must map the sorted values to an
+    array of the same shape; else :class:`DomainError`.
+    """
+    x = _reals(values, "values")
+    if x.ndim != 1:
+        raise DomainError(f"values must be 1-d, got shape {x.shape}")
+    x = np.sort(x)
     n = x.size
     if n == 0:
         raise ConfigError("cannot compute a KS distance from an empty sample")
     c = _reals(cdf(x), "cdf(values)")
+    if c.shape != x.shape:
+        raise DomainError(f"cdf(values) must have the shape of values {x.shape}, got {c.shape}")
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - c, c - (i - 1) / n)))
 

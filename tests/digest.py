@@ -1,0 +1,145 @@
+"""Digest of apdgof's outputs, one line per case, for comparing two versions bit for bit.
+
+    python tests/digest.py [--quick] > digest.txt
+
+Run it in a checkout of each version (it imports the ``src/`` next to this
+directory) and ``cmp`` the two files.  A line names its case, then gives
+the outputs as ``float.hex``, or the error class and message, then every
+warning the case raised.  The cases:
+
+- ``run_test`` (mu, sigma, score, T, p), ``fit_null_mle`` (mu, sigma) and
+  ``modified_score`` at that fit, on null draws over lam, location/scale,
+  size and seed, and on ties, signed zeros, a fit on a data point, data
+  scaled by 1e+-150 and 1e+-300, the +-1.7e308 span and too few
+  observations;
+- ``apd.sample`` draws, by sha256, at tail exponents whose ``1/theta2``
+  covers every fast path of ``**`` (0.5, 1, 2) and ``np.power``;
+- the sha256 of the JSON of size studies at lam = 3 and power studies at
+  lam = 2, at seeds 1 to 3.
+
+``--quick`` prints a small slice of these, which ``tests/test_digest.py``
+runs in one process and in a subprocess.  No hex value is pinned: numpy's
+last bits may differ across CPUs.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
+
+from apdgof import apd, score, simulate  # noqa: E402
+
+LAMS = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.5, 8.0, 50.0)
+PLACES = ((0.0, 1.0), (1000.0, 50.0))
+SIZES = (2, 7, 200, 2000)
+SEEDS = (0, 1, 2)
+SCALES = (1e150, 1e-150, 1e300, 1e-300)
+# Tail exponents of apd.sample: 1/theta2 is 2, 1, 0.5 (the fast paths of
+# **), then 1/3 and an exponent near 1/2 that is not 0.5 (np.power).
+SHAPES = (0.5, 1.0, 2.0, 3.0, 2.0067)
+STUDY_SEEDS = (1, 2, 3)
+NULL_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
+
+_NORMAL = np.random.default_rng(3).standard_normal(200)
+SPECIAL = {
+    "ties": [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 5.0, 5.0],
+    "signed-zeros": [-0.0, 0.0, -0.0, 1.0, -2.0, 0.5],
+    "on-a-point": [-2.0, -1.0, 0.0, 1.0, 2.0],
+    "adjacent": [1.0, math.nextafter(1.0, 2.0)],
+    "span": [-1.7e308, 1.7e308, 0.0, 1e308, -3e307],
+    "huge-one-side": [1e308, 1.7e308, 1.5e308, 1.2e308],
+    **{f"normal*{s:g}": _NORMAL * s for s in SCALES},
+    **{f"(1000+normal)*{s:g}": (1000.0 + _NORMAL) * s for s in SCALES},
+    "zero-spread": [2.0, 2.0, 2.0],
+    "one": [1.0],
+    "empty": [],
+}
+
+
+def _line(name: str, call) -> str:
+    """``name: outputs [warnings]`` for the str or the floats ``call()`` returns, or for its error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+            if not isinstance(out, str):
+                out = " ".join(float(v).hex() for v in out)
+        except Exception as exc:  # an error is an output of its case
+            out = f"{type(exc).__name__}: {exc}"
+    notes = "".join(f" [{w.category.__name__}: {w.message}]" for w in caught)
+    return f"{name}: {out}{notes}"
+
+
+def _report(r: score.TestReport) -> list[float]:
+    return [r.loc_scale.mu, r.loc_scale.sigma, *r.score, r.t_stat, r.p_value]
+
+
+def _tests(name: str, x, lam: float) -> list[str]:
+    """``run_test``, ``fit_null_mle`` and, with 2 observations or more, ``modified_score`` at the fit."""
+    fit = []
+
+    def fitted():
+        fit.append(score.fit_null_mle(x, lam))
+        return fit[0].mu, fit[0].sigma
+
+    lines = [
+        _line(f"{name} run_test", lambda: _report(score.run_test(x, lam))),
+        _line(f"{name} fit_null_mle", fitted),
+    ]
+    if fit and np.size(x) >= 2:
+        lines.append(_line(f"{name} modified_score", lambda: score.modified_score(x, lam, fit[0])))
+    return lines
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _study(cfg: simulate.StudyConfig) -> str:
+    run = simulate.run_null_study if cfg.delta is None else simulate.run_local_alternative_study
+    return _sha(run(cfg).to_json().encode())
+
+
+def digest(quick: bool = False) -> list[str]:
+    """Every line of the digest, or of its quick slice."""
+    lams = (1.5, 2.0, 3.0) if quick else LAMS
+    sizes = (7, 200) if quick else SIZES
+    seeds = SEEDS[:1] if quick else SEEDS
+    lines = []
+    for lam in lams:
+        for mu, sigma in PLACES:
+            params = apd.ApdParams(0.5, lam, mu, sigma)
+            for n in sizes:
+                for seed in seeds:
+                    x = apd.sample(params, n, np.random.default_rng(seed))
+                    lines += _tests(f"null lam={lam} mu={mu} sigma={sigma} n={n} seed={seed}", x, lam)
+        for name, x in SPECIAL.items():
+            lines += _tests(f"{name} lam={lam}", x, lam)
+    for t2 in SHAPES:
+        for t1, mu, sigma in ((0.5, 0.0, 1.0), (0.3, 1000.0, 50.0)):
+            params = apd.ApdParams(t1, t2, mu, sigma)
+            for n in (0, 1, 1000):
+                lines.append(_line(
+                    f"sample theta1={t1} theta2={t2} mu={mu} sigma={sigma} n={n}",
+                    lambda: _sha(apd.sample(params, n, np.random.default_rng(n)).tobytes()),
+                ))
+    n = 200 if quick else 2000
+    for seed in STUDY_SEEDS[:1] if quick else STUDY_SEEDS:
+        null = simulate.StudyConfig(3.0, n, 100, seed, alpha_grid=NULL_GRID)
+        power = simulate.StudyConfig(2.0, n, 100, seed, delta=(0.5, 0.3))
+        lines.append(_line(f"size study lam=3 n={n} seed={seed}", lambda: _study(null)))
+        lines.append(_line(f"power study lam=2 n={n} seed={seed}", lambda: _study(power)))
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(digest(quick="--quick" in sys.argv[1:])))

@@ -8,6 +8,7 @@ against a direct evaluation of that density written out in this file.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,6 +281,24 @@ class TestSample:
     def test_count_not_an_integer(self, n):
         with pytest.raises(DomainError):
             sample(STANDARD_NORMAL, n, np.random.default_rng(1))
+
+    # At most two arrays of n floats: the gamma variates, raised in place
+    # into the draws, and the uniforms, released before the finite mask.
+    # Forming the power and the shifted uniforms as new arrays held three,
+    # below numpy's temporary elision (n < 32768).
+    @pytest.mark.parametrize("n, bound", [(2000, 2.2), (10**6, 2.15)])
+    @pytest.mark.parametrize("t2", [0.5, 1.0, 2.0, 3.0, 2.0067])
+    def test_working_memory_is_two_arrays(self, t2, n, bound):
+        p = ApdParams(0.3, t2, 1000.0, 50.0)
+        rng = np.random.default_rng(23)
+        sample(p, n, rng)  # first-call set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            sample(p, n, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * n
 
 
 class TestLargeTheta2:

@@ -492,6 +492,12 @@ class TestModifiedScore:
             r[1], 1.0 - np.euler_gamma - (2.0 / 3.0) * math.log(2.0), rtol=0, atol=1e-14
         )
 
+    @pytest.mark.parametrize("data", [[], np.empty((0, 3)), [1.5]], ids=["empty", "0x3", "one"])
+    def test_fewer_than_two_observations(self, data):
+        # The empty data raised a bare ZeroDivisionError from the mean.
+        with pytest.raises(DegenerateSampleError, match="^need at least 2 observations, got"):
+            modified_score(data, 2.0, LocationScale(0.0, 1.0))
+
     def test_small_under_null(self):
         # 5-sigma componentwise bound holds in nearly all replicates
         lam, n, reps = 2.0, 4000, 200

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: configs, determinism, cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,16 @@ class TestKsDistance:
         with pytest.raises(ConfigError):
             ks_distance([], lambda x: x)
 
+    def test_values_must_be_one_dimensional(self):
+        # numpy raised a bare ValueError on the 2-d sample.
+        with pytest.raises(DomainError, match=r"^values must be 1-d, got shape \(2, 2\)$"):
+            ks_distance([[0.9, 0.1], [0.5, 0.2]], lambda x: x)
+
+    def test_cdf_must_keep_the_shape(self):
+        # The one CDF value was broadcast over both order statistics: 0.9.
+        with pytest.raises(DomainError, match=r"^cdf\(values\) must have the shape of values \(2,\), got \(1,\)$"):
+            ks_distance([0.9, 0.1], lambda v: v[:1])
+
 
 class TestChi2TwoCdf:
     """The reference CDF of both KS steps, against the Poisson-series oracle."""
@@ -243,6 +254,24 @@ class TestReplicateBlock:
         expected = [run_test(apd.sample(params, 50, replicate_rng(7, r)), lam) for r in range(5)]
         assert t.tolist() == [rep.t_stat for rep in expected]
         assert p.tolist() == [rep.p_value for rep in expected]
+
+    @pytest.mark.parametrize("lam", [2.0, 3.0])
+    def test_working_memory_is_three_arrays(self, lam):
+        # The fit's x, d and p at most: the second replicate draws while the
+        # first one's draws are still held, in two arrays.  The sampler's
+        # temporaries made that four.
+        from apdgof.simulate import _replicate_block
+
+        n = 2000
+        params = apd.ApdParams(0.5, lam)
+        _replicate_block(params, lam, n, 5, range(1))  # first-call set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            _replicate_block(params, lam, n, 5, range(1, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * 8 * n
 
     def test_lambda_is_checked_once_per_study(self, monkeypatch):
         from apdgof import score, simulate
