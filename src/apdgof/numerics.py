@@ -70,8 +70,10 @@ def _reals(values, name: str) -> np.ndarray:
         raise DomainError(f"{name} must hold ints or floats, got dtype {x.dtype}")
     with np.errstate(over="ignore"):  # a longdouble beyond the double range becomes inf
         x = x.astype(float, copy=False)
-    if not (ok := np.isfinite(x)).all():
-        k = int(ok.argmin())
+    # NaN and +-inf show in the extremes, whose reductions allocate no array of n flags.
+    lo, hi = (np.minimum.reduce(x, axis=None), np.maximum.reduce(x, axis=None)) if x.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        k = int(np.isfinite(x).argmin())
         raise DomainError(f"{name} must be finite, got {x.flat[k]} at index {k}")
     return x
 

@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 _ROOT_MAX_ITER = 200
+# Values in a block of a large sample: three float64 blocks fit a 2 MiB per-core L2.
+_BLOCK = 2**15
+# The location solve's floating-point error state: s' is 0/0 on a data point,
+# and a power may overflow; either way the pass bisects.
+_SOLVE_STATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 # B_2k / (2k) and B_2k for k = 1..6: the asymptotic series of psi and psi'.
 _PSI_TERMS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
 _PSI1_TERMS = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
@@ -152,41 +157,98 @@ def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None):
     return d, np.copysign(_power(p, e), d, out=p)
 
 
-def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
-    """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), then ``d = x - mu`` and sign(d) |d|^(lam-1).
+def _buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two float64 buffers of a fit or a score on ``n`` values: ``min(n, _BLOCK)`` values each."""
+    m = min(n, _BLOCK)
+    return np.empty(m), np.empty(m)
 
-    The solve holds ``x`` plus two buffers, ``d`` and ``p``, that it
-    allocates once.  Each pass writes ``d`` and the signed power ``p``
-    (:func:`_residuals`; at lam = 3 the one multiply ``|d| d``), takes s from
-    ``p`` and s' from ``p`` over ``d`` (written over ``d``): a signed
-    ``p / d`` is ``|p| / |d|`` bit for bit, and 0/0 is still NaN.  A pass
-    ends the solve before that divide when s = 0 or when the sign of s
-    leaves no double strictly inside the bracket, where every step would
-    land on an end and stop; ``d`` and ``p`` are returned as the pass formed
-    them.  Out of passes, and for lam in {1, 2}, both come from
-    :func:`_residuals` at ``mu``.  Sums are ``np.add.reduce``, the pairwise
-    sum of ``ndarray.sum`` without its Python wrapper.
+
+def _leaf_sums(x: np.ndarray, d: np.ndarray, p: np.ndarray, leaf, *args) -> tuple[float, ...]:
+    """The sums ``leaf(v, d, p, *args)`` returns for each leaf ``v`` of ``x``, added up numpy's pairwise tree.
+
+    numpy's float64 ``add.reduce`` splits a span of more than 128 values at
+    ``h = n//2 - (n//2) % 8`` and adds the sums of its two halves.  ``x`` is
+    split the same way down to leaves of at most :data:`_BLOCK` values, each
+    summed by ``np.add.reduce``, and the leaf sums are added back up the same
+    tree, so every sum is the double ``np.add.reduce`` over all of ``x``
+    would give.  ``leaf`` gets the first ``v.size`` values of the buffers
+    ``d`` and ``p``; data of at most ``_BLOCK`` values are one leaf.
     """
-    if lam == 1.0:
-        mu = float(np.median(x))
-        return (mu, *_residuals(x, mu, lam))
-    mu = float(np.add.reduce(x)) / x.size  # the double np.mean gives
-    if lam == 2.0:
-        return (mu, *_residuals(x, mu, lam))
+    n = x.size
+    if n <= _BLOCK:
+        return leaf(x, d[:n], p[:n], *args)
+    h = n // 2 - n // 2 % 8
+    left = _leaf_sums(x[:h], d, p, leaf, *args)
+    return tuple(a + b for a, b in zip(left, _leaf_sums(x[h:], d, p, leaf, *args)))
+
+
+def _slope_sums(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float) -> tuple[float, float]:
+    """``s = sum p`` and ``sum p / d`` at ``mu``, for the signed power ``p`` of :func:`_residuals`.
+
+    ``p / d`` is written over ``d``: a signed ``p / d`` is ``|p| / |d|`` bit
+    for bit, and 0/0 is still NaN.
+    """
+    _residuals(x, mu, lam, d, p)
+    return float(np.add.reduce(p)), float(np.add.reduce(np.divide(p, d, out=d)))
+
+
+def _fit_state(lam: float) -> dict:
+    """The error state in which one leaf forms the fit's residuals at its ``mu``.
+
+    Off lam in {1, 2} that is the solve's, whose last pass formed them; a
+    walk over many leaves forms them again in it, so it warns where one leaf
+    warns.
+    """
+    return {} if lam == 1.0 or lam == 2.0 else _SOLVE_STATE
+
+
+def _power_sum(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float, state: dict) -> tuple[float]:
+    """``sum |x - mu|^lam``, the signed power formed in the error ``state``, times ``d`` in ``p``'s buffer."""
+    with np.errstate(**state):
+        d, p = _residuals(x, mu, lam, d, p)
+    return (float(np.add.reduce(np.multiply(p, d, out=p))),)
+
+
+def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
+    """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), with the two buffers of the fit.
+
+    Returns ``(mu, d, p)``, two buffers allocated once.  When ``x`` is one
+    leaf (n <= _BLOCK, every study), they hold ``d = x - mu`` and sign(d)
+    |d|^(lam-1) at the returned ``mu``; past one leaf they are the blocks of
+    :func:`_buffers`, scratch for the walks that follow.  Each pass writes
+    ``d`` and the signed power ``p`` (:func:`_residuals`; at lam = 3 the one
+    multiply ``|d| d``), takes s from ``p`` and s' from ``p`` over ``d``
+    (:func:`_slope_sums`).  On one leaf, a pass ends the solve before that
+    divide when s = 0 or when the sign of s leaves no double strictly inside
+    the bracket, where every step would land on an end and stop; out of
+    passes, and for lam in {1, 2}, both are formed at ``mu``.  Past one leaf,
+    each pass walks the leaves of :func:`_leaf_sums` once and forms s and s'
+    leaf by leaf in the two buffers, added up numpy's pairwise tree: the
+    solve holds two blocks whatever n is, and s and s' are the doubles a sum
+    over all of ``x`` gives.  Sums are ``np.add.reduce``, the pairwise sum of
+    ``ndarray.sum`` without its Python wrapper.
+    """
+    one = x.size <= _BLOCK
+    # Off lam = 1 the mean, the double np.mean gives, is the location or the start point.
+    mu = float(np.median(x)) if lam == 1.0 else float(np.add.reduce(x)) / x.size
+    if lam == 1.0 or lam == 2.0:
+        return (mu, *(_residuals(x, mu, lam) if one else _buffers(x.size)))
+    d, p = _buffers(x.size)
     # Full convergence keeps the statistic affine-invariant to ~1e-10 even
-    # for shifted data.  s' is 0/0 when mu sits on a data point and may
-    # overflow for lam near 1; either way the pass bisects.  A step not under
+    # for shifted data.  s' may overflow for lam near 1.  A step not under
     # half the previous one means Newton cycles or walks the rounding noise
     # of s near the root: doubled, it lands past the root and closes the
     # bracket from the far side.  A step that rounds to mu moves one ulp
     # instead.
     mu = min(max(mu, lo), hi)
     dx = hi - lo
-    d, p = np.empty_like(x), np.empty_like(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(**_SOLVE_STATE):
         for _ in range(_ROOT_MAX_ITER):
-            _residuals(x, mu, lam, d, p)
-            s = float(np.add.reduce(p))
+            if one:
+                _residuals(x, mu, lam, d, p)
+                s = float(np.add.reduce(p))
+            else:
+                s, sp = _leaf_sums(x, d, p, _slope_sums, mu, lam)
             if s > 0.0:
                 lo = mu
             elif s < 0.0:
@@ -195,7 +257,9 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
                 return mu, d, p
             if not math.nextafter(lo, hi) < hi:  # no double left inside: every step lands on an end
                 return mu, d, p
-            ds = (lam - 1.0) * float(np.add.reduce(np.divide(p, d, out=d)))
+            if one:
+                sp = float(np.add.reduce(np.divide(p, d, out=d)))
+            ds = (lam - 1.0) * sp
             h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
             if 2.0 * abs(h) > abs(dx):
                 h *= 2.0
@@ -205,21 +269,29 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
             elif not lo < step < hi:
                 step = 0.5 * (lo + hi)
             dx, mu = step - mu, step
-    # Out of passes: the last power was formed at the previous mu.
-    return (mu, *_residuals(x, mu, lam, d, p))
+    if one:  # out of passes: the last power was formed at the previous mu
+        _residuals(x, mu, lam, d, p)
+    return mu, d, p
 
 
 def _fit(x: np.ndarray, lo: float, hi: float, lam: float):
-    """Null MLE ``mu``, ``sigma`` on ``x`` (extremes ``lo``, ``hi``), with ``d = x - mu`` and |d|^lam.
+    """Null MLE ``mu``, ``sigma`` on ``x`` (extremes ``lo``, ``hi``), with :func:`_locate`'s two buffers.
 
-    ``|d|^lam`` is ``p d`` for :func:`_locate`'s signed power ``p``, formed in ``p``'s buffer.
+    On one leaf the buffers hold ``d = x - mu`` and ``|d|^lam``, the latter
+    ``p d`` for :func:`_locate`'s signed power ``p``, formed in ``p``'s
+    buffer.  Past one leaf the scale walks the leaves once more
+    (:func:`_power_sum`), and its sum is added up numpy's pairwise tree, the
+    double of a sum over all of ``|d|^lam``.
     """
     mu, d, p = _locate(x, lo, hi, lam)
-    adl = np.multiply(p, d, out=p)
-    sigma = (0.5 * lam * float(np.add.reduce(adl)) / x.size) ** (1.0 / lam)
+    if x.size <= _BLOCK:
+        total = float(np.add.reduce(np.multiply(p, d, out=p)))
+    else:
+        (total,) = _leaf_sums(x, d, p, _power_sum, mu, lam, _fit_state(lam))
+    sigma = (0.5 * lam * total / x.size) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")
-    return mu, sigma, d, adl
+    return mu, sigma, d, p
 
 
 def fit_null_mle(data, lam: float) -> LocationScale:
@@ -238,31 +310,57 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     Scale: ``((lam/2) mean(|x_i - mu|^lam))^(1/lam)``, the powers taken as
     the signed ``sign(x_i - mu) |x_i - mu|^(lam-1)`` (off lam in {1, 2} the
     solve's last) times ``x_i - mu``; :func:`run_test` scores from those
-    same arrays.
+    same arrays.  Past 32,768 values the data are walked in blocks of at
+    most that many, the leaves of numpy's pairwise sum, in two buffers;
+    each sum is added up the same tree, so it is the double of a sum over
+    the whole sample.
     """
     lam = check_lambda(lam)
     mu, sigma = _fit(*_as_clean_data(_reals(data, "data")), lam)[:2]
     return LocationScale(mu=mu, sigma=sigma)
 
 
-def _mean_shape_score(d, adl, sigma: float, lam: float) -> np.ndarray:
-    """Mean shape score (rows 0-1 of :func:`stacked_scores`) at ``y = d / sigma``.
+def _shape_sums(d: np.ndarray, adl: np.ndarray, sigma: float, lam: float) -> tuple[float, float]:
+    """The sums of ``sign(y) |y|^lam`` and ``|y|^lam log|y|`` at ``y = d / sigma``, for ``adl = |d|^lam``.
 
-    ``adl`` is ``|d|^lam``.  Where ``d == 0`` the weight ``|y|^lam`` is 0,
-    and :func:`_lifted_log` keeps ``|y|^lam log|y|`` at its limit 0.  For a
-    huge ``sigma``, ``sigma^-lam`` underflows to 0 as ``|y|^lam`` would,
-    where ``sigma^lam`` would overflow.  Both buffers are overwritten: the
-    weights ``w`` are formed in ``adl``'s and signed as ``d`` there for r1;
-    then ``|y|``, its log and ``w log|y|`` are formed in ``d``'s, ``w``
-    taken back as the absolute value of the signed weights.
+    Where ``d == 0`` the weight ``|y|^lam`` is 0, and :func:`_lifted_log`
+    keeps ``|y|^lam log|y|`` at its limit 0.  For a huge ``sigma``,
+    ``sigma^-lam`` underflows to 0 as ``|y|^lam`` would, where ``sigma^lam``
+    would overflow.  Both buffers are overwritten: the weights ``w`` are
+    formed in ``adl``'s and signed as ``d`` there for the first sum; then
+    ``|y|``, its log and ``w log|y|`` are formed in ``d``'s, ``w`` taken back
+    as the absolute value of the signed weights.
     """
     w = np.multiply(adl, np.power(sigma, -lam), out=adl)
-    r1 = -lam * float(np.add.reduce(np.copysign(w, d, out=w))) / d.size
+    s1 = float(np.add.reduce(np.copysign(w, d, out=w)))
     wlog = np.divide(np.abs(d, out=d), sigma, out=d)
     _lifted_log(wlog, out=wlog)
     wlog *= np.abs(w, out=w)
-    r2 = -0.5 * (float(np.add.reduce(wlog)) / d.size - 2.0 / lam**2 * _nu(lam))
-    return np.array([r1, r2])
+    return s1, float(np.add.reduce(wlog))
+
+
+def _score_sums(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float, sigma: float, state: dict):
+    """:func:`_shape_sums` at ``y = (x - mu) / sigma``, the signed power formed in the error ``state``."""
+    with np.errstate(**state):
+        d, p = _residuals(x, mu, lam, d, p)
+    return _shape_sums(d, np.multiply(p, d, out=p), sigma, lam)
+
+
+def _mean_shape_score(x, d, p, mu: float, sigma: float, lam: float, fitted: bool = False) -> np.ndarray:
+    """Mean shape score (rows 0-1 of :func:`stacked_scores`) at ``y = (x - mu) / sigma``.
+
+    Summed leaf by leaf (:func:`_leaf_sums`, :func:`_score_sums`) in the two
+    buffers ``d`` and ``p``, the sums added up numpy's pairwise tree.
+    ``fitted``: ``mu`` and ``sigma`` are :func:`_fit`'s on ``x``, and ``d``
+    and ``p`` its buffers.  On one leaf they hold ``x - mu`` and
+    ``|x - mu|^lam``, which are scored as they are; past one leaf they are
+    formed again in the error state the fit formed them in.
+    """
+    if fitted and x.size <= _BLOCK:
+        s1, s2 = _shape_sums(d, p, sigma, lam)
+    else:
+        s1, s2 = _leaf_sums(x, d, p, _score_sums, mu, lam, sigma, _fit_state(lam) if fitted else {})
+    return np.array([-lam * s1 / x.size, -0.5 * (s2 / x.size - 2.0 / lam**2 * _nu(lam))])
 
 
 def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
@@ -272,16 +370,18 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
     result is finite even when the fitted location coincides with a data
     point (the ``y = 0`` conventions of :func:`stacked_scores`).  The residual
     power is the location solve's signed ``sign(d) |d|^(lam-1)``, times
-    ``d``, in two arrays the size of the data, and :func:`run_test` averages
-    its fit's own residuals with the same code.  Data of fewer than 2
-    observations raise :class:`DegenerateSampleError`, as in
-    :func:`fit_null_mle`.
+    ``d``, in two buffers of at most 32,768 values: past that many the data
+    are walked in blocks, the leaves of numpy's pairwise sum, and each sum
+    is added up the same tree, the double of a sum over the whole sample.
+    :func:`run_test` averages its fit's own residuals with the same code.
+    Data of fewer than 2 observations raise :class:`DegenerateSampleError`,
+    as in :func:`fit_null_mle`.
     """
     lam = check_lambda(lam)
     if not isinstance(fit, LocationScale):
         raise DomainError(f"fit must be a LocationScale, got {fit!r}")
-    d, p = _residuals(_observations(_reals(data, "data")), fit.mu, lam)
-    return _mean_shape_score(d, np.multiply(p, d, out=p), fit.sigma, lam)
+    x = _observations(_reals(data, "data"))
+    return _mean_shape_score(x, *_buffers(x.size), fit.mu, fit.sigma, lam)
 
 
 def fisher_information(lam: float) -> np.ndarray:
@@ -492,6 +592,6 @@ def _test(x: np.ndarray, lam: float) -> tuple[int, float, float, np.ndarray, flo
     """
     x, lo, hi = _as_clean_data(x)
     mu, sigma, d, adl = _fit(x, lo, hi, lam)
-    r = _mean_shape_score(d, adl, sigma, lam)
+    r = _mean_shape_score(x, d, adl, mu, sigma, lam, fitted=True)
     t = _t_stat(r, x.size, lam)
     return x.size, mu, sigma, r, t, chi2_sf(t)

@@ -9,7 +9,9 @@ warning the case raised.  The cases:
 
 - ``run_test`` (mu, sigma, score, T, p), ``fit_null_mle`` (mu, sigma) and
   ``modified_score`` at that fit, on null draws over lam, location/scale,
-  size and seed, and on ties, signed zeros, a fit on a data point, data
+  size and seed, on null draws of 65,545 and 100,000 values (more than
+  one block of the fit) at seed 0 and 65,545 normal values scaled by
+  1e+-150 and 1e+-300, and on ties, signed zeros, a fit on a data point, data
   scaled by 1e+-150 and 1e+-300, the +-1.7e308 span and too few
   observations;
 - ``apd.sample`` draws, by sha256, at tail exponents whose ``1/theta2``
@@ -42,6 +44,10 @@ LAMS = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.5, 8.0, 50.0)
 PLACES = ((0.0, 1.0), (1000.0, 50.0))
 SIZES = (2, 7, 200, 2000)
 SEEDS = (0, 1, 2)
+# Samples of more than one leaf (score._BLOCK values), which fit and score in blocks.
+LEAF_LAMS = (1.0, 1.01, 1.5, 2.0, 3.0, 8.0)
+LEAF_SIZES = (65_545, 100_000)
+_LEAF_NORMAL = np.random.default_rng(3).standard_normal(LEAF_SIZES[0])
 SCALES = (1e150, 1e-150, 1e300, 1e-300)
 # Tail exponents of apd.sample: 1/theta2 is 2, 1, 0.5 (the fast paths of
 # **), then 1/3 and an exponent near 1/2 that is not 0.5 (np.power).
@@ -124,6 +130,13 @@ def digest(quick: bool = False) -> list[str]:
                     lines += _tests(f"null lam={lam} mu={mu} sigma={sigma} n={n} seed={seed}", x, lam)
         for name, x in SPECIAL.items():
             lines += _tests(f"{name} lam={lam}", x, lam)
+    for lam in () if quick else LEAF_LAMS:
+        for mu, sigma in PLACES:
+            for n in LEAF_SIZES:
+                x = apd.sample(apd.ApdParams(0.5, lam, mu, sigma), n, np.random.default_rng(0))
+                lines += _tests(f"null lam={lam} mu={mu} sigma={sigma} n={n} seed=0", x, lam)
+        for s in SCALES:
+            lines += _tests(f"normal*{s:g} n={LEAF_SIZES[0]} lam={lam}", _LEAF_NORMAL * s, lam)
     for t2 in SHAPES:
         for t1, mu, sigma in ((0.5, 0.0, 1.0), (0.3, 1000.0, 50.0)):
             params = apd.ApdParams(t1, t2, mu, sigma)

@@ -377,7 +377,8 @@ class TestFitResidualsOracle:
     """``run_test`` scores from the residuals its fit leaves; the reference
     forms them again in each of three separate steps."""
 
-    @pytest.mark.parametrize("n", [2, 7, 2000])
+    # 65,545 values (2 _BLOCK + 9) fit and score in three blocks.
+    @pytest.mark.parametrize("n", [2, 7, 2000, 65_545])
     @pytest.mark.parametrize("loc,scale", [(0.0, 1.0), (1000.0, 50.0), (0.0, 1e-3)])
     @pytest.mark.parametrize("lam", [1.0, 1.001, 1.5, 2.0, 2.5, 3.0, 4.5, 20.0])
     def test_matches_three_step_pipeline(self, lam, loc, scale, n):
@@ -394,11 +395,15 @@ class TestFitResidualsOracle:
             modified_score(x, lam, rep.loc_scale), rep.score, rtol=1e-14, atol=1e-15
         )
 
-    @pytest.mark.parametrize("passes", [1, 2, 3])
-    def test_solve_out_of_passes_scores_at_its_last_mu(self, monkeypatch, passes):
+    @pytest.mark.parametrize(
+        "passes,n",
+        [pytest.param(k, n, id=str(k) if n == 50 else f"{k}-{n}") for n in (50, 65_545) for k in (1, 2, 3)],
+    )
+    def test_solve_out_of_passes_scores_at_its_last_mu(self, monkeypatch, passes, n):
         # the last pass evaluated the mu before the final step, so the
-        # residuals are formed again at the final mu
-        x = apd.sample(apd.ApdParams(0.5, 3.0), 50, np.random.default_rng(8))
+        # residuals are formed again at the final mu (in one block, or by
+        # the scale and score walks over three)
+        x = apd.sample(apd.ApdParams(0.5, 3.0), n, np.random.default_rng(8))
         converged = fit_null_mle(x, 3.0).mu
         monkeypatch.setattr(score_mod, "_ROOT_MAX_ITER", passes)
         rep = run_test(x, 3.0)
@@ -472,6 +477,27 @@ class TestSignedResidualPower:
         assert bits(p).tolist() == bits(np.copysign(np.abs(d) ** (lam - 1.0), d)).tolist()
         assert bits(adl).tolist() == bits(expected).tolist()
         assert bits(adl[:2]).tolist() == bits([0.0, 0.0]).tolist()
+
+
+class TestLeafSums:
+    """A large sample is summed in blocks, the leaves of numpy's pairwise sum, added up its tree."""
+
+    B = score_mod._BLOCK
+
+    @pytest.mark.parametrize("n", [B, B + 1, B + 8, 2 * B - 1, 2 * B + 1, 2 * B + 9, 100_000, 300_001])
+    def test_tree_sum_is_add_reduce_bit_for_bit(self, n):
+        # A numpy whose add.reduce splits elsewhere fails here, before it can
+        # move a fitted location by an ulp.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        d, p = score_mod._buffers(n)
+
+        def leaf(v, dv, pv):
+            assert dv.size == pv.size == v.size <= self.B
+            np.multiply(v, -3.0, out=pv)
+            return float(np.add.reduce(v)), float(np.add.reduce(pv))
+
+        assert score_mod._leaf_sums(x, d, p, leaf) == (float(np.add.reduce(x)), float(np.add.reduce(-3.0 * x)))
 
 
 class TestModifiedScore:
@@ -865,6 +891,46 @@ class TestRunTest:
             finally:
                 tracemalloc.stop()
             assert peak <= 2.1 * x.nbytes, name
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0])
+    def test_working_memory_does_not_grow_with_n(self, lam):
+        # Past _BLOCK values the fit and the score walk the data in blocks,
+        # in two buffers of _BLOCK values; at lam = 1 np.median's partition
+        # copy still holds all n values.
+        x = apd.sample(apd.ApdParams(0.5, lam, 3.0, 2.0), 1_000_000, np.random.default_rng(19))
+        blocks = 2 * score_mod._BLOCK * x.itemsize
+        bound = blocks + 64 * 1024 if lam != 1.0 else 1.05 * x.nbytes + blocks
+        fit = fit_null_mle(x, lam)
+        calls = {
+            "run_test": lambda: run_test(x, lam),
+            "fit_null_mle": lambda: fit_null_mle(x, lam),
+            "modified_score": lambda: modified_score(x, lam, fit),
+        }
+        for name, call in calls.items():
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, name
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0])
+    def test_many_blocks_warn_where_one_block_warns(self, lam):
+        # Past one block the scale and score walks form the fit's residuals
+        # again, in the error state one block formed them in (the solve's).
+        def outcome(x):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out = math.isfinite(run_test(x, lam).t_stat)
+                except DegenerateSampleError as exc:
+                    out = str(exc)
+            return out, {str(w.message) for w in caught}
+
+        x = np.random.default_rng(4).standard_normal(2 * score_mod._BLOCK + 9) * 1e300
+        assert outcome(x) == outcome(x[:2000])
 
     def test_fixed_loc_scale_variant(self):
         rng = np.random.default_rng(5)
