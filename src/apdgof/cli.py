@@ -16,7 +16,10 @@ import argparse
 import io
 import json
 import math
+import os
+import stat
 import sys
+import warnings
 
 import numpy as np
 
@@ -33,8 +36,8 @@ EXIT_USAGE = 64
 
 # Most rows ``tables --lambda-grid`` prints.
 _GRID_CAP = 10_000
-# Bytes that ``read_values`` scans for a ``#`` at a time.
-_SCAN_CHUNK = 1 << 16
+# Suffixes of the files numpy's text reader decompresses when given their path.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 _TABLE_COLUMNS = (
     "lambda",
@@ -76,24 +79,32 @@ def read_values(path: str) -> np.ndarray:
     input error.  At least two values are required.  The first bad line in
     file order is reported with its line number.
 
-    The path is opened once, so a pipe or ``/dev/stdin`` works: input that
-    cannot seek is read into memory first, a file is read where it lies.  A
-    file of bare values is converted line by line as it decodes, holding
-    the array of values (8 bytes a value, over-allocated by up to half while
-    it grows) and, for a pipe, its bytes.  Any other input takes a pass over
-    its decoded lines, which holds about five times its size.
+    numpy's C text reader parses first.  A regular file whose name numpy
+    would not decompress is read where it lies, and the parse holds about
+    the values (8 bytes a value); other input, a pipe among them, is opened
+    once and read into memory, so it holds its bytes plus the values.  The
+    reader splits at the whitespace ``str.isspace`` knows and takes only
+    ASCII ``float()`` spellings, so one column of finite values from it is
+    what the rules above give.  Any other input takes a pass over its
+    decoded lines, about five times its size, which alone reads the other
+    spellings and names the first bad line: what is accepted and every
+    error message do not depend on the route.
     """
+    data = None
     try:
-        with open(path, "rb") as fh:
-            src = fh if fh.seekable() else io.BytesIO(fh.read())
-            values = _stream_values(src)
-            if values is not None:
-                return values
-            src.seek(0)
-            data = src.read()
+        if stat.S_ISREG(os.stat(path).st_mode) and not path.endswith(_COMPRESSED):
+            values = _loaded(os.path.abspath(path))  # absolute: never read as a URL
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            values = _loaded(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        if values is not None:
+            return values
+        if data is None:
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
-    del src  # a pipe's BytesIO shares the buffer of ``data``
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -116,34 +127,18 @@ def read_values(path: str) -> np.ndarray:
     return values
 
 
-def _stream_values(src) -> np.ndarray | None:
-    """The values of the seekable binary input ``src`` converted as it decodes, or None.
-
-    None leaves the input to the line pass.  If every universal-newline line
-    converts with ``float()``, no line holds inner whitespace or a ``#``.  So
-    a break only ``str.splitlines`` knows (each is whitespace) sits at a
-    line's edge and splits off a blank piece that the line pass skips: the
-    values are the line pass's.  A ``#`` or a blank last line would fail the
-    stream late, so a scan in small chunks sends such input to the line pass
-    first.
-    """
-    while chunk := src.read(_SCAN_CHUNK):
-        if b"#" in chunk:
-            return None
-    src.seek(max(src.tell() - 64, 0))
-    tail = src.read()
-    trailing_space = tail[len(tail.rstrip()):]
-    if len(trailing_space.splitlines()) > 1:
-        return None
-    src.seek(0)
-    lines = io.TextIOWrapper(src, encoding="utf-8")
+def _loaded(src) -> np.ndarray | None:
+    """One column of at least two finite values read from ``src`` by numpy, else None."""
     try:
-        values = np.fromiter(map(float, lines), float)
-    except ValueError:  # UnicodeDecodeError among them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            values = np.loadtxt(src, dtype=float, comments=None, encoding="utf-8", ndmin=2)
+    except (ValueError, OSError, UserWarning):  # UnicodeDecodeError among them
         return None
-    finally:
-        lines.detach()  # closing the wrapper would close ``src``
-    return values if values.size >= 2 and np.isfinite(values).all() else None
+    if values.shape[1:] != (1,) or len(values) < 2:
+        return None
+    values = values[:, 0]
+    return values if math.isfinite(values.min()) and math.isfinite(values.max()) else None
 
 
 def _first_bad_line(path: str, lines: list[str]) -> _InputError:

@@ -17,7 +17,13 @@ warning the case raised.  The cases:
 - ``apd.sample`` draws, by sha256, at tail exponents whose ``1/theta2``
   covers every fast path of ``**`` (0.5, 1, 2) and ``np.power``;
 - the sha256 of the JSON of size studies at lam = 3 and power studies at
-  lam = 2, at seeds 1 to 3.
+  lam = 2, at seeds 1 to 3;
+- ``cli.read_values``, by the sha256 of the parsed values or the error
+  message (the temporary directory shown as ``<dir>``), on the
+  ``test-file`` benchmark's input of 1e5 values and on files with CRLF and
+  lone-CR endings, an empty line mid-file, a ``#`` header, ``1_000``,
+  Unicode digits, a plain file named ``.gz``, gzip bytes named ``.gz`` and
+  a bad line.
 
 ``--quick`` prints a small slice of these, which ``tests/test_digest.py``
 runs in one process and in a subprocess.  No hex value is pinned: numpy's
@@ -26,9 +32,11 @@ last bits may differ across CPUs.  pytest does not collect this file.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import math
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -38,7 +46,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from apdgof import apd, score, simulate  # noqa: E402
+from apdgof import apd, cli, score, simulate  # noqa: E402
 
 LAMS = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.5, 8.0, 50.0)
 PLACES = ((0.0, 1.0), (1000.0, 50.0))
@@ -54,6 +62,20 @@ SCALES = (1e150, 1e-150, 1e300, 1e-300)
 SHAPES = (0.5, 1.0, 2.0, 3.0, 2.0067)
 STUDY_SEEDS = (1, 2, 3)
 NULL_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
+# Inputs of cli.read_values: name (with the file's suffix) -> bytes.  The
+# quick slice takes the first four.
+_LINES = [f"{v:.17g}" for v in np.random.default_rng(4).standard_normal(1000)]
+PARSE_FILES = {
+    "crlf.txt": "\r\n".join(_LINES).encode() + b"\r\n",
+    "empty-line-mid-file.txt": "\n".join(_LINES[:500] + [""] + _LINES[500:]).encode(),
+    "header.txt": ("# values\n" + "\n".join(_LINES)).encode(),
+    "bad-line.txt": b"1\n2\n1 # note\n",
+    "lone-cr.txt": "\r".join(_LINES).encode(),
+    "underscores.txt": b"1_000\n-2_5.0_1\n3\n",
+    "unicode-digits.txt": "\u0661\u0662\n\u0663.5\n-\u0664\n".encode(),
+    "plain.gz": "\n".join(_LINES).encode(),
+    "gzip-bytes.gz": gzip.compress(b"1\n2\n", mtime=0),
+}
 
 _NORMAL = np.random.default_rng(3).standard_normal(200)
 SPECIAL = {
@@ -151,6 +173,29 @@ def digest(quick: bool = False) -> list[str]:
         power = simulate.StudyConfig(2.0, n, 100, seed, delta=(0.5, 0.3))
         lines.append(_line(f"size study lam=3 n={n} seed={seed}", lambda: _study(null)))
         lines.append(_line(f"power study lam=2 n={n} seed={seed}", lambda: _study(power)))
+    return lines + _parses(quick)
+
+
+def _test_file_input() -> bytes:
+    """The ``test-file`` benchmark's input at ``--seed 0``: 1e5 APD draws at 17 significant digits."""
+    params = apd.ApdParams(theta1=0.45, theta2=1.5, mu=1000.0, sigma=50.0)
+    values = apd.sample(params, 100_000, np.random.default_rng(np.random.SeedSequence(0)))
+    return "".join(f"{v:.17g}\n" for v in values).encode()
+
+
+def _parses(quick: bool) -> list[str]:
+    """A line per ``cli.read_values`` input: the sha256 of the values' bytes, or the error."""
+    if quick:
+        files = dict(list(PARSE_FILES.items())[:4])
+    else:
+        files = {"test-file.txt": _test_file_input(), **PARSE_FILES}
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            path = Path(tmp) / name
+            path.write_bytes(content)
+            line = _line(f"read_values {name}", lambda: _sha(cli.read_values(str(path)).tobytes()))
+            lines.append(line.replace(tmp, "<dir>"))
     return lines
 
 

@@ -10,6 +10,7 @@ test`` input, kept as the oracle of ``read_values``: on every input both must
 return bit-equal arrays or raise the same message.
 """
 
+import gzip
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +481,7 @@ INPUT_CORPUS = {
     "nan": (b"1\nnan\n2\n", ":2: value is not finite: 'nan'"),
     "minus-inf": (b"-inf\n1\n2\n", ":1: value is not finite: '-inf'"),
     "two-per-line": (b"1 2\n3\n", ":1: expected one value per line"),
+    "two-columns": (b"1 2\n3 4\n", ":1: expected one value per line"),
     "inner-tab": (b"1\n2\t3\n", ":2: expected one value per line"),
     "inner-nbsp": ("1\n2\u00a03\n".encode(), ":2: expected one value per line"),
     "empty": (b"", ": need at least 2 values, found 0"),
@@ -490,6 +493,7 @@ INPUT_CORPUS = {
     # A stream that dropped whole '#' lines would lose the 1.5 after the form feed.
     "comment-then-form-feed": (b"# c\x0c1.5\n2\n", [1.5, 2.0]),
     "trailing-empty-line": (b"1\n2\n\n", [1.0, 2.0]),
+    "empty-line-mid-file": (b"1\n\n2\n", [1.0, 2.0]),
     "trailing-next-line": ("1\x85\n2\n".encode(), [1.0, 2.0]),
     # The byte is named by its offset in the file, not in a decoded chunk.
     "late-bad-byte": (
@@ -572,8 +576,8 @@ def check_corpus_case(path: Path, case: str, check):
 class TestReadValues:
     """``read_values`` against the line-by-line oracle on a corpus and on random files.
 
-    Each input is read from a file, which the parse streams where it lies,
-    and through a FIFO, which it reads into memory first.
+    Each input is read from a file, which numpy's reader reads where it
+    lies, and through a FIFO, which ``read_values`` reads into memory first.
     """
 
     @pytest.mark.parametrize("case", sorted(INPUT_CORPUS))
@@ -599,21 +603,61 @@ class TestReadValues:
         assert_pipe_parses_like_reference(path, random_file(lines, bad, sep, final_sep))
 
     def test_seekable_file_parse_memory(self, tmp_path):
-        # A file is streamed where it lies: the parse holds the values, over-
-        # allocated by up to half while the array grows, and no copy of the
-        # file's bytes (which take ~2.4x the values' 8 bytes at 17 digits).
+        # A file is read where it lies: the parse holds the values, and no copy
+        # of the file's bytes (which take ~2.4x the values' 8 bytes at 17
+        # digits), also with CRLF endings and an empty line mid-file.
         values = np.random.default_rng(6).standard_normal(20_000)
-        path = tmp_path / "plain.txt"
-        path.write_text("".join(f"{v:.17g}\n" for v in values))
-        read_values(str(path))
-        tracemalloc.start()
-        try:
-            got = read_values(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.tobytes() == values.tobytes()
-        assert peak < 1.75 * values.nbytes
+        lines = [f"{v:.17g}" for v in values]
+        contents = {
+            "plain": "".join(f"{line}\n" for line in lines),
+            "crlf-empty-line": "\r\n".join(lines[:10_000] + [""] + lines[10_000:]) + "\r\n",
+        }
+        for name, content in contents.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes(content.encode())
+            read_values(str(path))
+            tracemalloc.start()
+            try:
+                got = read_values(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == values.tobytes(), name
+            assert peak < 1.75 * values.nbytes, (name, peak)
+
+    def test_gzip_bytes_named_gz_are_read_as_text(self, tmp_path):
+        # numpy's reader decompresses a path ending in .gz; such a file is read
+        # as its bytes, so gzip data is not UTF-8 text.
+        path = tmp_path / "values.txt.gz"
+        path.write_bytes(gzip.compress(b"1\n2\n3\n"))
+        with pytest.raises(_InputError) as info:
+            read_values(str(path))
+        assert str(info.value) == f"cannot read {path}: not UTF-8 text (byte 1: invalid start byte)"
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_text_with_a_compressed_suffix_parses(self, tmp_path, suffix):
+        path = tmp_path / f"values{suffix}"
+        path.write_bytes(b"1.5\n-2\n3e2\n")
+        assert read_values(str(path)).tolist() == [1.5, -2.0, 300.0]
+
+    def test_relative_path_like_a_url_reads_the_local_file(self, tmp_path, monkeypatch):
+        # numpy's reader would fetch a path it parses as a URL.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "f").write_bytes(b"1\n2\n")
+        assert read_values("http://host/f").tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("content", [b"", b"  \n\t\n \r\n"], ids=["empty", "whitespace-only"])
+    def test_file_without_values_is_an_error_and_no_warning(self, tmp_path, content):
+        path = tmp_path / "input.txt"
+        path.write_bytes(content)
+        for action in ("error", "always"):  # numpy's "input contained no data" must not escape
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises(_InputError) as info:
+                    read_values(str(path))
+            assert caught == []
+            assert str(info.value) == f"{path}: need at least 2 values, found 0"
 
     def test_plain_file_parse_memory(self, tmp_path):
         # The line pass held the text, its line list and a token list: 4.8x
