@@ -18,6 +18,10 @@ warning the case raised.  The cases:
   covers every fast path of ``**`` (0.5, 1, 2) and ``np.power``;
 - the sha256 of the JSON of size studies at lam = 3 and power studies at
   lam = 2, at seeds 1 to 3;
+- the noncentral chi-square law: ``noncentral_chi2_sf`` on a grid of ncp
+  and x up to 1e4 and at the edges of its domain (windows apart, the
+  overlap cap, ncp/2 past 2**53), and ``asymptotic_power`` at lam = 2 on
+  that ncp grid at three levels and at a ``delta`` past the cap;
 - ``cli.read_values``, by the sha256 of the parsed values or the error
   message (the temporary directory shown as ``<dir>``), on the
   ``test-file`` benchmark's input of 1e5 values and on files with CRLF and
@@ -46,7 +50,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from apdgof import apd, cli, score, simulate  # noqa: E402
+from apdgof import apd, cli, numerics, score, simulate  # noqa: E402
 
 LAMS = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.5, 8.0, 50.0)
 PLACES = ((0.0, 1.0), (1000.0, 50.0))
@@ -61,6 +65,10 @@ SCALES = (1e150, 1e-150, 1e300, 1e-300)
 # **), then 1/3 and an exponent near 1/2 that is not 0.5 (np.power).
 SHAPES = (0.5, 1.0, 2.0, 3.0, 2.0067)
 STUDY_SEEDS = (1, 2, 3)
+# The noncentral law: an ncp grid, an x grid, and (x, ncp) at the edges of its domain.
+NCPS = (1e-3, 0.3, 1.3, 4.0, 40.0, 800.0, 5000.0, 1e4)
+XS = (0.0, 1e-3, 0.5, 3.0, 5.99, 12.0, 30.0, 60.0, 900.0, 1e4)
+LAW_EDGES = ((5.0, 1e12), (5.0, 1e16), (1e6, 1e3), (9.3e7, 9.3e7), (9.4e7, 9.4e7), (1e10, 1e10), (5.0, 1e300))
 NULL_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 # Inputs of cli.read_values: name (with the file's suffix) -> bytes.  The
 # quick slice takes the first four.
@@ -173,7 +181,27 @@ def digest(quick: bool = False) -> list[str]:
         power = simulate.StudyConfig(2.0, n, 100, seed, delta=(0.5, 0.3))
         lines.append(_line(f"size study lam=3 n={n} seed={seed}", lambda: _study(null)))
         lines.append(_line(f"power study lam=2 n={n} seed={seed}", lambda: _study(power)))
-    return lines + _parses(quick)
+    return lines + _laws(quick) + _parses(quick)
+
+
+def _laws(quick: bool) -> list[str]:
+    """A line per value of the noncentral law: ``noncentral_chi2_sf`` and ``asymptotic_power``, or the error."""
+    ncps, xs = (NCPS[1:4], XS[2:6]) if quick else (NCPS, XS)
+    lines = []
+    for ncp in ncps:
+        for x in xs:
+            lines.append(_line(f"noncentral_chi2_sf x={x} ncp={ncp}", lambda: [numerics.noncentral_chi2_sf(x, ncp)]))
+    for x, ncp in LAW_EDGES[-2:] if quick else LAW_EDGES:
+        lines.append(_line(f"noncentral_chi2_sf x={x} ncp={ncp}", lambda: [numerics.noncentral_chi2_sf(x, ncp)]))
+    unit = score.noncentrality((1.0, 0.0), 2.0)
+    for ncp in ncps:
+        delta = (math.sqrt(ncp / unit), 0.0)
+        for alpha in (0.01, 0.05, 0.2):
+            lines.append(_line(f"asymptotic_power delta={delta} lam=2 alpha={alpha}",
+                               lambda: [score.asymptotic_power(delta, 2.0, alpha)]))
+    lines.append(_line("asymptotic_power delta=(1e100, 0) lam=2 alpha=0.05",
+                       lambda: [score.asymptotic_power((1e100, 0.0), 2.0, 0.05)]))
+    return lines
 
 
 def _test_file_input() -> bytes:

@@ -3,12 +3,14 @@
 ``import apdgof``, a first :func:`apdgof.run_test` and an in-process
 ``apdgof test --json`` need numpy only.  ``scipy.stats`` takes about half a
 second and some 20 MB to import and is never needed.  ``scipy.special``
-(~0.4 s and ~25 MB) loads on the first ``cdf``, ``quantile`` or noncentral
-chi-square call; the test itself computes its gamma, digamma and trigamma
-values in closed form.  ``scipy.integrate`` (which pulls in
-``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``, ~290 modules and
-~25 MB) loads on the first quadrature call, and the process pool only when
-a study runs with ``workers > 1``.
+(~0.4 s and ~25 MB) loads on the first ``cdf`` or ``quantile`` call; the
+test itself computes its gamma, digamma and trigamma values in closed form,
+and the noncentral chi-square law of a power study, ``asymptotic_power``
+and ``apdgof simulate power`` is a numpy kernel, so those load no scipy
+module at all.  ``scipy.integrate`` (which pulls in ``scipy.optimize``,
+``scipy.sparse`` and ``scipy.linalg``, ~290 modules and ~25 MB) loads on
+the first quadrature call, and the process pool only when a study runs
+with ``workers > 1``.
 """
 
 import json
@@ -90,4 +92,27 @@ before = "scipy.special" in sys.modules
 numerics.noncentral_chi2_sf(1.0, 2.0)
 print(before, "scipy.special" in sys.modules)
 """
-    assert _run(code).split() == ["False", "True"]
+    assert _run(code).split() == ["False", "False"]
+
+
+def test_power_study_and_its_law_load_no_scipy_module():
+    code = """
+import contextlib, io, json, sys
+from apdgof import cli, score, simulate
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+steps = {}
+cfg = simulate.StudyConfig(2.0, 50, 100, 7, delta=(0.5, 0.3))
+report = simulate.run_local_alternative_study(cfg)
+assert report.rejections[0].predicted > 0.05 and 0.0 < report.ks_stat < 1.0
+steps["run_local_alternative_study"] = scipy_modules()
+assert 0.05 < score.asymptotic_power((1.0, 0.5), 2.0, 0.05) < 1.0
+steps["asymptotic_power"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = cli.main(["simulate", "power", "--lambda", "2", "--delta", "0.5,0.3", "--n", "50", "--reps", "100", "--json"])
+assert rc == 0 and json.loads(out.getvalue())["results"]["ks_stat"] > 0.0
+steps["simulate power --json"] = scipy_modules()
+print(json.dumps(steps))
+"""
+    steps = json.loads(_run(code).strip().splitlines()[-1])
+    assert steps == {"run_local_alternative_study": [], "asymptotic_power": [], "simulate power --json": []}

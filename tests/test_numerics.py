@@ -2,9 +2,11 @@
 
 High-precision reference values come from mpmath at 50 digits.  The gamma
 family is checked through the ``scipy.special`` functions the package calls.
-The noncentral chi-square survival function is checked against a
-Poisson-mixture series (:func:`poisson_series_sf`), ``scipy.stats.ncx2`` and
-a direct Monte Carlo simulation.
+The noncentral chi-square survival function, a numpy kernel that sums
+Poisson pairs (``numerics._chi2_cdf``), is checked against a 40-digit mpmath
+sum (:func:`mp_noncentral_sf`), a Poisson-mixture series
+(:func:`poisson_series_sf`), ``scipy.special.chndtr``, ``scipy.stats.ncx2``
+and a direct Monte Carlo simulation.
 """
 
 import math
@@ -49,8 +51,8 @@ def poisson_series_sf(x, k, ncp):
 
     Evaluates ``sum_j e^{-ncp/2} (ncp/2)^j / j! * chi2_sf(x, k + 2j)``,
     truncated once the accumulated Poisson weight exceeds ``1 - 1e-12``; the
-    result is then within ``1e-10`` of the exact value.  The oracle for
-    :func:`noncentral_chi2_sf`, which calls ``scipy.special.chndtr``.
+    result is then within ``1e-10`` of the exact value.  An oracle for
+    :func:`noncentral_chi2_sf`, formed with ``scipy.special.gammaincc``.
     """
     if ncp == 0.0:
         return float(sc.gammaincc(0.5 * k, 0.5 * x))
@@ -247,6 +249,99 @@ class TestNoncentralChi2:
             noncentral_chi2_sf(-1.0, 1.0)
         with pytest.raises(DomainError):
             noncentral_chi2_sf(1.0, -1.0)
+
+
+def mp_noncentral_sf(x, ncp):
+    """``P(T > x)`` for T noncentral chi-square(2, ``ncp``), to 40 digits, as an mpf.
+
+    The Poisson-weighted sum of regularized upper gammas that
+    :func:`poisson_series_sf` forms, ``sum_j P(J = j) Q(1 + j, x/2)`` with
+    ``J ~ Poisson(ncp/2)``, in mpmath over ``j`` within 12 standard
+    deviations (and 40 below, 60 above) of ``ncp/2``, where the mass left out
+    is below 1e-30.  ``Q(1 + j, b)`` steps by its recurrence
+    ``Q(j + 2, b) = Q(j + 1, b) + e^-b b^(j+1) / (j+1)!``.
+    """
+    with mp.workdps(40):
+        a, b = mp.mpf(ncp) / 2, mp.mpf(x) / 2
+        lo, hi = max(0, int(a - 12 * mp.sqrt(a) - 40)), int(a + 12 * mp.sqrt(a) + 60)
+        w = mp.exp(-a + lo * mp.log(a) - mp.loggamma(lo + 1))
+        q = mp.gammainc(lo + 1, b, mp.inf, regularized=True)
+        step = mp.exp(-b) * b ** (lo + 1) / mp.factorial(lo + 1)
+        total = mp.mpf(0)
+        for j in range(lo, hi + 1):
+            total += w * q
+            w *= a / (j + 1)
+            q += step
+            step *= b / (j + 2)
+        return +total
+
+
+# The grid on which the kernel's error budget is pinned.
+KERNEL_NCPS = (1e-3, 0.3, 1.3, 4.0, 40.0, 800.0, 5000.0, 1e4)
+KERNEL_XS = (0.0, 1e-3, 0.5, 3.0, 5.99, 12.0, 30.0, 60.0, 900.0, 1e4)
+
+
+class TestPoissonPairKernel:
+    """``numerics._chi2_cdf`` at ``ncp > 0``: ``P(I > J)`` for Poisson ``I`` (mean x/2) and ``J`` (mean ncp/2)."""
+
+    @pytest.mark.parametrize("ncp", KERNEL_NCPS)
+    def test_within_1e_13_of_40_digits(self, ncp):
+        for x in KERNEL_XS:
+            ref = mp_noncentral_sf(x, ncp)
+            assert abs(noncentral_chi2_sf(x, ncp) - float(ref)) <= 1e-13, (x, ncp)
+            # chndtr, the oracle next to it, is as close on this grid.
+            assert abs(1.0 - float(sc.chndtr(x, 2.0, ncp)) - float(ref)) <= 1e-13, (x, ncp)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x, ncp, sf",
+        [
+            (5.0, 1e12, 1.0),
+            (5.0, 1e16, 1.0),
+            (5.0, 2.0**54, 1.0),  # ncp/2 = 2**53, the largest Poisson mean summed
+            (1e6, 1e3, 0.0),
+            (1.7e308, 1e3, 0.0),
+            (1e6, 1e15, 1.0),
+            (1e12, 1e10, 0.0),
+        ],
+    )
+    def test_separated_windows_give_a_value(self, x, ncp, sf):
+        # Windows apart hold every pair I > J or none, as chndtr has it: nothing is summed.
+        assert noncentral_chi2_sf(x, ncp) == sf
+
+    @pytest.mark.filterwarnings("error")
+    def test_mean_past_2_to_the_53_is_accuracy_error(self):
+        with pytest.raises(AccuracyError, match="past 2\\*\\*53"):
+            noncentral_chi2_sf(5.0, math.nextafter(2.0**54, math.inf))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, ncp", [(1e8, 1e8), (1e10, 1e10), (9.4e7, 9.4e7), (1e11, 1.00001e11)])
+    def test_overlap_past_the_window_cap_is_accuracy_error(self, x, ncp):
+        with pytest.raises(AccuracyError, match="overlap over more than 131072 terms"):
+            noncentral_chi2_sf(x, ncp)
+        with pytest.raises(AccuracyError, match=f"x={x}"):  # a study's KS step names the statistic
+            numerics._chi2_cdf(np.array([1.0, x, 2.0]), ncp)
+
+    @pytest.mark.filterwarnings("error")
+    def test_last_overlap_under_the_cap_has_a_value(self):
+        # Within chndtr's own error here, which grows to ~4e-13 at ncp = 1e8.
+        sf = noncentral_chi2_sf(9.3e7, 9.3e7)
+        assert abs(sf - (1.0 - float(sc.chndtr(9.3e7, 2.0, 9.3e7)))) <= 1e-12
+
+    @pytest.mark.parametrize("ncp", [1e-300, 1e-3, 0.458, 40.0, 143.0, 144.0, 800.0, 1e6])
+    def test_array_gives_the_doubles_of_scalar_calls(self, ncp):
+        rng = np.random.default_rng(25)
+        x = np.concatenate([rng.uniform(0.0, 3.0 * ncp + 60.0, 94), [0.0, 5e-324, 1e-3, 1e4, 1e300, 1.7e308]])
+        rng.shuffle(x)
+        cdf = numerics._chi2_cdf(x, ncp)
+        assert cdf.shape == (100,)
+        assert cdf.tolist() == [float(numerics._chi2_cdf(v, ncp)) for v in x.tolist()]
+        assert np.all((0.0 <= cdf) & (cdf <= 1.0))
+
+    def test_matches_chndtr_on_study_statistics(self):
+        # Statistics of a power study at the c04 setting: ncp 0.458.
+        x = np.random.default_rng(4).noncentral_chisquare(2.0, 0.458, 100)
+        assert np.max(np.abs(numerics._chi2_cdf(x, 0.458) - sc.chndtr(x, 2.0, 0.458))) <= 1e-15
 
 
 class TestGammaSample:
@@ -500,5 +595,8 @@ class TestNoncentralLawLimits:
 
     @pytest.mark.parametrize("ncp", [1.0, 1e3, 1e8, 1e12, 1e15])
     def test_values_up_to_1e15_are_chndtr_s(self, ncp):
+        # chndtr is the oracle: equal where it gives 0 or 1, else within the
+        # kernel's 1e-13 (chndtr itself is 4e-16 off at x = ncp = 1e3).
         for x in (0.0, 5.0, 1e3, 1e6):
-            assert noncentral_chi2_sf(x, ncp) == 1.0 - float(sc.chndtr(x, 2.0, ncp))
+            ref = 1.0 - float(sc.chndtr(x, 2.0, ncp))
+            assert abs(noncentral_chi2_sf(x, ncp) - ref) <= (0.0 if ref in (0.0, 1.0) else 1e-13)

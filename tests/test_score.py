@@ -500,6 +500,29 @@ class TestLeafSums:
         assert score_mod._leaf_sums(x, d, p, leaf) == (float(np.add.reduce(x)), float(np.add.reduce(-3.0 * x)))
 
 
+class TestLocateWork:
+    """Past one leaf, the location solve forms s' only on the passes whose step needs it."""
+
+    # seed: leaf walks of the solve on 1e5 values at lam = 3 (4 leaves a
+    # pass), and those that form s alone.  The closing pass forms s alone,
+    # and so does a pass next to a bracket end that leaves one double inside;
+    # a full Newton step on every pass, as in reference_fit, lands on the
+    # same location.
+    @pytest.mark.parametrize("seed, walks, s_only", [(0, 40, 4), (1, 44, 8), (3, 32, 8)])
+    def test_passes_that_need_no_slope_do_not_divide(self, monkeypatch, seed, walks, s_only):
+        x = apd.sample(apd.ApdParams(0.5, 3.0), 100_000, np.random.default_rng(seed))
+        slopes = []
+        leaf = score_mod._slope_sums
+
+        def counted(v, d, p, mu, lam, slope=True):
+            slopes.append(slope)
+            return leaf(v, d, p, mu, lam, slope)
+
+        monkeypatch.setattr(score_mod, "_slope_sums", counted)
+        assert fit_null_mle(x, 3.0).mu == reference_fit(x, 3.0).mu
+        assert (len(slopes), slopes.count(False)) == (walks, s_only)
+
+
 class TestModifiedScore:
     def test_symmetric_data_kills_first_component(self):
         data = [-1.0, 0.0, 1.0]
