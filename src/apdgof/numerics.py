@@ -7,17 +7,19 @@ adaptive quadrature are validated wrappers around closed forms, numpy's
 law is the closed-form family of the central one, a Poisson mixture of
 Erlang tails: its CDF at ``x`` is ``P(I > J)`` for independent Poisson
 ``I`` and ``J`` of means ``x/2`` and ``ncp/2``, summed in numpy over the
-windows that hold all but 1e-20 of each law (:func:`_chi2_cdf`).  Only
-quadrature needs scipy: ``scipy.integrate`` (with the ``scipy.optimize``,
-``scipy.sparse`` and ``scipy.linalg`` it pulls in) loads on the first call
-to :func:`integrate`, and this module never imports ``scipy.special``.
+windows that hold all but 1e-20 of each law while ``ncp`` is below about
+143, where every value of it is at most 4e-16 off a 40-digit sum
+(:func:`_chi2_cdf`).  Importing this module costs only numpy:
+``scipy.special`` loads only for an ``x`` near a larger ``ncp``, whose
+value is ``scipy.special.chndtr``'s, and ``scipy.integrate`` (with the
+``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` it pulls in) on
+the first call to :func:`integrate`.
 :func:`_real`, :func:`_reals` and the ``_check_*`` helpers hold the
 argument rules the other modules share, each written once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -42,10 +44,8 @@ _MAX_VALUES = np.iinfo(np.intp).max // 8
 # Poisson mass each summation window of the noncentral law leaves out on either side.
 _TAIL = 1e-20
 _LOG_TAIL = math.log(1.0 / _TAIL)
-# Past 2**53 a Poisson mean has no window of whole doubles; an overlap of more
-# terms than _MAX_TERMS would carry the summed error past 1e-13.
+# Past 2**53 a Poisson mean has no window of whole doubles.
 _MAX_MEAN = 2.0**53
-_MAX_TERMS = 2**17
 # The Erlang sum's terms b^k / k! end at k = 170, the last k! below the double range.
 _ERLANG_MAX_K = 170
 # The Erlang sum's cap on x/2: there it is 1 - 1e-127 or closer, for every J window it sums.
@@ -171,13 +171,11 @@ def chi2_quantile(p: float) -> float:
 def noncentral_chi2_sf(x: float, ncp: float) -> float:
     """Survival function of the noncentral chi-square(2) law: ``1 - _chi2_cdf(x, ncp)``.
 
-    ``ncp == 0`` is :func:`chi2_sf`.  Within ``1e-13`` of the exact value
-    wherever it returns one: at most 4e-16 off 40-digit sums on a grid of
-    ``ncp`` and ``x`` up to ``1e4``, and 5e-14 at ``ncp = 1e8``.  An ``ncp``
-    past ``2**54``, or an ``x`` whose summation window overlaps ``ncp``'s
-    when either spans more than ``2**17`` terms (``x`` and ``ncp`` both past
-    about ``9.3e7``, with ``|x - ncp|`` under about ``27 sqrt(ncp)``),
-    raises :class:`AccuracyError`; see :func:`_chi2_cdf`.
+    ``ncp == 0`` is :func:`chi2_sf`.  At most 4e-16 off 40-digit sums on a
+    grid of ``ncp`` and ``x`` up to ``1e4``.  An ``ncp`` past ``2**54``, or
+    an ``x`` near a large ``ncp`` where ``scipy.special.chndtr`` has no
+    value (from about ``x = ncp = 5e10``), raises :class:`AccuracyError`;
+    see :func:`_chi2_cdf`.
     """
     sf = chi2_sf(x)  # checks x
     if not (ncp := _real(ncp, "ncp")) >= 0.0:
@@ -193,25 +191,22 @@ def _chi2_cdf(x, ncp: float):
     ``1 - exp(-x/2)`` when ``ncp == 0``.  Otherwise the law is a Poisson
     mixture of Erlang tails, ``P(T > x) = sum_j P(J = j) P(Gamma(j + 1) > x/2)``
     with ``J ~ Poisson(ncp/2)``, so that ``CDF(x) = P(I > J)`` for ``I ~
-    Poisson(x/2)`` independent of ``J``.  The sum runs only over the
-    windows of :func:`_window`, each of which leaves out at most 1e-20 of
-    its law's mass on either side, with every window's probabilities formed
-    by :func:`_poisson_weights`:
+    Poisson(x/2)`` independent of ``J``.  Each law's window
+    (:func:`_window`) leaves out at most 1e-20 of its mass on either side:
 
     - while ``J``'s window ends at ``k <= 170`` (``ncp`` below about 143),
       ``P(T > x) = exp(-b) sum_k P(J >= k) b^k / k!`` at ``b = x/2``, one
       Horner polynomial over the whole of ``x``; ``b`` is capped at 700,
-      past which the CDF rounds to 1;
-    - past it, an ``x`` whose window lies above ``J``'s gives 1, one below
-      gives 0, and each one that overlaps, in turn, sums ``P(I = i) P(J < i)``
-      over its own window.  An overlap where either window spans more
-      than :data:`_MAX_TERMS` terms raises :class:`AccuracyError`, as does
-      ``ncp/2`` past :data:`_MAX_MEAN`.
+      past which the CDF rounds to 1.  No scipy module is loaded;
+    - past it, an ``x`` whose window lies above ``J``'s gives 1 and one
+      below gives 0; the values whose window overlaps ``J``'s take
+      ``scipy.special.chndtr`` (imported on the first such call), and one
+      it gives NaN raises :class:`AccuracyError`.
 
-    Each value depends on its own ``x`` only: an array gives the doubles of
-    one call per value.  Temporaries hold ``x.size`` plus one window of
-    values.  Unvalidated: the studies' KS step passes whole arrays of
-    statistics.
+    ``ncp/2`` past :data:`_MAX_MEAN` raises :class:`AccuracyError`.  Each
+    value depends on its own ``x`` only: an array gives the doubles of one
+    call per value.  Unvalidated: the studies' KS step passes whole arrays
+    of statistics.
     """
     b = np.multiply(x, 0.5)
     if ncp == 0.0:
@@ -219,51 +214,39 @@ def _chi2_cdf(x, ncp: float):
     a = 0.5 * ncp
     if not a <= _MAX_MEAN:
         raise AccuracyError(f"the noncentral chi-square law has no computed value at ncp={ncp}: ncp/2 is past 2**53")
-    if coef := _erlang_coefficients(a):
+    jlo, jhi = _window(a)
+    if jhi <= _ERLANG_MAX_K:
+        coef = _erlang_coefficients(a, int(jlo), int(jhi))
         b = np.minimum(b, _ERLANG_MAX_B)
         h = coef[-1]
         for c in coef[-2::-1]:
             h = h * b + c
         return 1.0 - np.minimum(h * np.exp(-b), 1.0)  # a rounding past 1 is no probability
-    jlo, jhi = (int(v) for v in _window(a))
     ilo, ihi = _window(b)
     cdf = np.where(ilo > jhi, 1.0, 0.0)
-    overlap = np.flatnonzero((ilo <= jhi) & (ihi > jlo))
-    if overlap.size == 0:
+    overlap = (ilo <= jhi) & (ihi > jlo)
+    if not overlap.any():
         return cdf
-    widest = overlap[np.argmax(ihi.flat[overlap] - ilo.flat[overlap])]
-    if max(jhi - jlo, ihi.flat[widest] - ilo.flat[widest]) >= _MAX_TERMS:
-        x0 = 2.0 * float(b.flat[widest])
-        raise AccuracyError(
-            f"the noncentral chi-square law has no computed value at x={x0}, ncp={ncp}:"
-            f" its summation windows overlap over more than {_MAX_TERMS} terms"
-        )
-    cum = np.cumsum(_poisson_weights(a, jlo, jhi))
-    cum /= cum[-1]  # P(J <= j) on J's window
-    j = np.arange(jlo, jhi + 1, dtype=float)
-    for e in overlap.tolist():
-        lo, hi = int(ilo.flat[e]), int(ihi.flat[e])
-        w = _poisson_weights(float(b.flat[e]), lo, hi)
-        below = np.interp(np.arange(lo - 1, hi, dtype=float), j, cum, left=0.0, right=1.0)  # P(J < i)
-        cdf.flat[e] = min(np.dot(w, below) / np.add.reduce(w), 1.0)
-    return cdf
+    from scipy import special as sc
+
+    xs = np.where(overlap, x, 0.0)  # the values apart are not summed: chndtr is 0 at once at x = 0
+    near = sc.chndtr(xs, 2.0, ncp)
+    if np.isnan(near).any():
+        x0 = xs[np.isnan(near)][0]
+        raise AccuracyError(f"the noncentral chi-square law has no computed value at x={x0}, ncp={ncp}")
+    return np.where(overlap, near, cdf)
 
 
-@functools.lru_cache(maxsize=64)
-def _erlang_coefficients(a: float) -> tuple[float, ...]:
+def _erlang_coefficients(a: float, jlo: int, jhi: int) -> list[float]:
     """``P(J >= k) / k!`` for ``J ~ Poisson(a)``, ``k = 0, 1, ...`` while ``P(J >= k) >= 1e-20``.
 
-    Empty when ``J``'s window ends past ``k = 170``.  Cached: a power study
-    evaluates one law for its predictions and again for its KS step.
+    ``jlo..jhi`` is ``J``'s window (:func:`_window`).
     """
-    jlo, jhi = (int(v) for v in _window(a))
-    if jhi > _ERLANG_MAX_K:
-        return ()
     tail = np.cumsum(_poisson_weights(a, jlo, jhi)[::-1])[::-1]
     coef = np.ones(jhi + 1)
     coef[jlo:] = tail / tail[0]  # P(J >= k), 1 below the window
     k = np.count_nonzero(coef >= _TAIL)  # coef falls with k: the terms past it add under 1e-20
-    return tuple(c / math.factorial(i) for i, c in enumerate(coef[:k].tolist()))
+    return [c / math.factorial(i) for i, c in enumerate(coef[:k].tolist())]
 
 
 def _window(mean):

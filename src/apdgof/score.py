@@ -182,17 +182,20 @@ def _leaf_sums(x: np.ndarray, d: np.ndarray, p: np.ndarray, leaf, *args) -> tupl
     return tuple(a + b for a, b in zip(left, _leaf_sums(x[h:], d, p, leaf, *args)))
 
 
-def _slope_sums(
-    x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float, slope: bool = True
-) -> tuple[float, ...]:
-    """``s = sum p`` and, with ``slope``, ``sum p / d`` at ``mu``, for the signed power ``p`` of :func:`_residuals`.
+def _slope_sums(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float) -> tuple[float, float]:
+    """``s = sum p`` and ``sum p / d`` at ``mu``, for the signed power ``p`` of :func:`_residuals`.
 
     ``p / d`` is written over ``d``: a signed ``p / d`` is ``|p| / |d|`` bit
     for bit, and 0/0 is still NaN.
     """
     _residuals(x, mu, lam, d, p)
-    s = float(np.add.reduce(p))
-    return (s, float(np.add.reduce(np.divide(p, d, out=d)))) if slope else (s,)
+    return float(np.add.reduce(p)), float(np.add.reduce(np.divide(p, d, out=d)))
+
+
+def _signed_sum(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float) -> tuple[float]:
+    """``s = sum p`` at ``mu`` alone, for a pass that may close before it needs s'."""
+    _residuals(x, mu, lam, d, p)
+    return (float(np.add.reduce(p)),)
 
 
 def _fit_state(lam: float) -> dict:
@@ -227,13 +230,13 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     one double inside, every step lands on that double, and the pass moves
     there without s'.  Out of passes, and for lam in {1, 2}, both are formed
     at ``mu``.  Past one leaf, a pass walks the leaves of :func:`_leaf_sums`
-    and forms s, and s' unless ``mu`` is next to a bracket end, leaf by leaf
-    in the two buffers, added up numpy's pairwise tree; such a pass may
-    close, and walks again for s' only if it neither closes nor leaves one
-    double inside.  The solve holds two blocks whatever n is, and s and s'
-    are the doubles a sum over all of ``x`` gives.  Sums are
-    ``np.add.reduce``, the pairwise sum of ``ndarray.sum`` without its
-    Python wrapper.
+    and forms s and s' leaf by leaf in the two buffers, added up numpy's
+    pairwise tree; a pass at ``mu`` next to a bracket end forms s alone
+    (:func:`_signed_sum`), as it may close, and walks again for s' only if
+    it neither closes nor leaves one double inside.  The solve holds two
+    blocks whatever n is, and s and s' are the doubles a sum over all of
+    ``x`` gives.  Sums are ``np.add.reduce``, the pairwise sum of
+    ``ndarray.sum`` without its Python wrapper.
     """
     one = x.size <= _BLOCK
     # Off lam = 1 the mean, the double np.mean gives, is the location or the start point.
@@ -254,9 +257,10 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
             if one:
                 _residuals(x, mu, lam, d, p)
                 s = float(np.add.reduce(p))
+            elif math.nextafter(lo, hi) < mu < math.nextafter(hi, lo):
+                s, sp = _leaf_sums(x, d, p, _slope_sums, mu, lam)
             else:  # a pass at mu next to a bracket end may close, and then needs no s'
-                inner = math.nextafter(lo, hi) < mu < math.nextafter(hi, lo)
-                s, *sp = _leaf_sums(x, d, p, _slope_sums, mu, lam, inner)
+                (s,), sp = _leaf_sums(x, d, p, _signed_sum, mu, lam), None
             if s > 0.0:
                 lo = mu
             elif s < 0.0:
@@ -271,8 +275,8 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
                 continue
             if one:
                 sp = float(np.add.reduce(np.divide(p, d, out=d)))
-            else:
-                sp = sp[0] if sp else _leaf_sums(x, d, p, _slope_sums, mu, lam)[1]
+            elif sp is None:
+                sp = _leaf_sums(x, d, p, _slope_sums, mu, lam)[1]
             ds = (lam - 1.0) * sp
             h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
             if 2.0 * abs(h) > abs(dx):

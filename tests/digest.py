@@ -19,9 +19,10 @@ warning the case raised.  The cases:
 - the sha256 of the JSON of size studies at lam = 3 and power studies at
   lam = 2, at seeds 1 to 3;
 - the noncentral chi-square law: ``noncentral_chi2_sf`` on a grid of ncp
-  and x up to 1e4 and at the edges of its domain (windows apart, the
-  overlap cap, ncp/2 past 2**53), and ``asymptotic_power`` at lam = 2 on
-  that ncp grid at three levels and at a ``delta`` past the cap;
+  and x up to 1e4 and at the edges of its domain (windows apart, either
+  side of the numpy sum's end at ncp ~ 143, where ``chndtr`` has no value,
+  ncp/2 past 2**53), and ``asymptotic_power`` at lam = 2 on that ncp grid
+  at three levels and at a ``delta`` past 2**53;
 - ``cli.read_values``, by the sha256 of the parsed values or the error
   message (the temporary directory shown as ``<dir>``), on the
   ``test-file`` benchmark's input of 1e5 values and on files with CRLF and
@@ -68,7 +69,9 @@ STUDY_SEEDS = (1, 2, 3)
 # The noncentral law: an ncp grid, an x grid, and (x, ncp) at the edges of its domain.
 NCPS = (1e-3, 0.3, 1.3, 4.0, 40.0, 800.0, 5000.0, 1e4)
 XS = (0.0, 1e-3, 0.5, 3.0, 5.99, 12.0, 30.0, 60.0, 900.0, 1e4)
-LAW_EDGES = ((5.0, 1e12), (5.0, 1e16), (1e6, 1e3), (9.3e7, 9.3e7), (9.4e7, 9.4e7), (1e10, 1e10), (5.0, 1e300))
+LAW_EDGES = (
+    (5.0, 1e12), (5.0, 1e16), (1e6, 1e3), (143.0, 143.0), (144.0, 144.0), (1e10, 1e10), (5e10, 5e10), (5.0, 1e300)
+)
 NULL_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 # Inputs of cli.read_values: name (with the file's suffix) -> bytes.  The
 # quick slice takes the first four.

@@ -3,14 +3,15 @@
 ``import apdgof``, a first :func:`apdgof.run_test` and an in-process
 ``apdgof test --json`` need numpy only.  ``scipy.stats`` takes about half a
 second and some 20 MB to import and is never needed.  ``scipy.special``
-(~0.4 s and ~25 MB) loads on the first ``cdf`` or ``quantile`` call; the
+(~0.4 s and ~25 MB) loads on the first ``cdf`` or ``quantile`` call, or a
+noncentral chi-square value at an ``x`` near an ``ncp`` past about 143; the
 test itself computes its gamma, digamma and trigamma values in closed form,
-and the noncentral chi-square law of a power study, ``asymptotic_power``
-and ``apdgof simulate power`` is a numpy kernel, so those load no scipy
-module at all.  ``scipy.integrate`` (which pulls in ``scipy.optimize``,
-``scipy.sparse`` and ``scipy.linalg``, ~290 modules and ~25 MB) loads on
-the first quadrature call, and the process pool only when a study runs
-with ``workers > 1``.
+and below that ``ncp`` the noncentral law of a power study,
+``asymptotic_power`` and ``apdgof simulate power`` is a numpy kernel, so
+those load no scipy module at all.  ``scipy.integrate`` (which pulls in
+``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``, ~290 modules and
+~25 MB) loads on the first quadrature call, and the process pool only when
+a study runs with ``workers > 1``.
 """
 
 import json
@@ -90,9 +91,11 @@ from apdgof import numerics
 numerics.noncentral_chi2_sf(1.0, 0.0)
 before = "scipy.special" in sys.modules
 numerics.noncentral_chi2_sf(1.0, 2.0)
-print(before, "scipy.special" in sys.modules)
+small = "scipy.special" in sys.modules
+numerics.noncentral_chi2_sf(150.0, 150.0)
+print(before, small, "scipy.special" in sys.modules)
 """
-    assert _run(code).split() == ["False", "False"]
+    assert _run(code).split() == ["False", "False", "True"]
 
 
 def test_power_study_and_its_law_load_no_scipy_module():

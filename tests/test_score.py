@@ -512,13 +512,16 @@ class TestLocateWork:
     def test_passes_that_need_no_slope_do_not_divide(self, monkeypatch, seed, walks, s_only):
         x = apd.sample(apd.ApdParams(0.5, 3.0), 100_000, np.random.default_rng(seed))
         slopes = []
-        leaf = score_mod._slope_sums
 
-        def counted(v, d, p, mu, lam, slope=True):
-            slopes.append(slope)
-            return leaf(v, d, p, mu, lam, slope)
+        def counted(leaf, slope):
+            def walk(v, d, p, mu, lam):
+                slopes.append(slope)
+                return leaf(v, d, p, mu, lam)
 
-        monkeypatch.setattr(score_mod, "_slope_sums", counted)
+            return walk
+
+        monkeypatch.setattr(score_mod, "_slope_sums", counted(score_mod._slope_sums, True))
+        monkeypatch.setattr(score_mod, "_signed_sum", counted(score_mod._signed_sum, False))
         assert fit_null_mle(x, 3.0).mu == reference_fit(x, 3.0).mu
         assert (len(slopes), slopes.count(False)) == (walks, s_only)
 
