@@ -198,10 +198,11 @@ def _chi2_cdf(x, ncp: float):
       ``P(T > x) = exp(-b) sum_k P(J >= k) b^k / k!`` at ``b = x/2``, one
       Horner polynomial over the whole of ``x``; ``b`` is capped at 700,
       past which the CDF rounds to 1.  No scipy module is loaded;
-    - past it, an ``x`` whose window lies above ``J``'s gives 1 and one
-      below gives 0; the values whose window overlaps ``J``'s take
-      ``scipy.special.chndtr`` (imported on the first such call), and one
-      it gives NaN raises :class:`AccuracyError`.
+    - past it, an ``x`` whose window lies above ``J``'s gives 1 (``x =
+      inf`` too), one below gives 0 and a NaN gives NaN; the values whose
+      window overlaps ``J``'s take ``scipy.special.chndtr`` (imported on
+      the first such call), and one it gives NaN raises
+      :class:`AccuracyError`.
 
     ``ncp/2`` past :data:`_MAX_MEAN` raises :class:`AccuracyError`.  Each
     value depends on its own ``x`` only: an array gives the doubles of one
@@ -222,8 +223,9 @@ def _chi2_cdf(x, ncp: float):
         for c in coef[-2::-1]:
             h = h * b + c
         return 1.0 - np.minimum(h * np.exp(-b), 1.0)  # a rounding past 1 is no probability
-    ilo, ihi = _window(b)
-    cdf = np.where(ilo > jhi, 1.0, 0.0)
+    with np.errstate(invalid="ignore"):  # the window of x = inf is (NaN, inf)
+        ilo, ihi = _window(b)
+    cdf = np.heaviside(ihi - jlo, 0.0)  # 1 above J's window (x = inf too), 0 below, NaN at a NaN
     overlap = (ilo <= jhi) & (ihi > jlo)
     if not overlap.any():
         return cdf

@@ -46,6 +46,8 @@ __all__ = [
 _ROOT_MAX_ITER = 200
 # Values in a block of a large sample: three float64 blocks fit a 2 MiB per-core L2.
 _BLOCK = 2**15
+# Values a walk of the lam = 1 median selection compares at a time: a chunk's gather copies at most 32 KiB.
+_CHUNK = 2**12
 # The location solve's floating-point error state: s' is 0/0 on a data point,
 # and a power may overflow; either way the pass bisects.
 _SOLVE_STATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
@@ -157,9 +159,27 @@ def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None):
     return d, np.copysign(_power(p, e), d, out=p)
 
 
+def _halves(n: int) -> tuple[int, int]:
+    """The sizes of the two halves numpy's pairwise sum splits a span of ``n > 128`` values into."""
+    h = n // 2 - n // 2 % 8
+    return h, n - h
+
+
+# Cached: the spans of one level of the tree take two or three sizes.
+@functools.lru_cache(maxsize=256)
+def _largest_leaf(n: int) -> int:
+    """The most values a leaf of :func:`_leaf_sums` holds, searched over the whole tree: ``n`` for one leaf.
+
+    The left half can be a leaf of exactly :data:`_BLOCK` values while the
+    right half splits further: at n = 65,545 the leaves hold 32,768, 16,384
+    and 16,393 values.  At n = 1e5 none holds more than 25,000.
+    """
+    return n if n <= _BLOCK else max(map(_largest_leaf, _halves(n)))
+
+
 def _buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two float64 buffers of a fit or a score on ``n`` values: ``min(n, _BLOCK)`` values each."""
-    m = min(n, _BLOCK)
+    """The two float64 buffers of a fit or a score on ``n`` values, each of :func:`_largest_leaf` values."""
+    m = _largest_leaf(n)
     return np.empty(m), np.empty(m)
 
 
@@ -167,17 +187,18 @@ def _leaf_sums(x: np.ndarray, d: np.ndarray, p: np.ndarray, leaf, *args) -> tupl
     """The sums ``leaf(v, d, p, *args)`` returns for each leaf ``v`` of ``x``, added up numpy's pairwise tree.
 
     numpy's float64 ``add.reduce`` splits a span of more than 128 values at
-    ``h = n//2 - (n//2) % 8`` and adds the sums of its two halves.  ``x`` is
-    split the same way down to leaves of at most :data:`_BLOCK` values, each
-    summed by ``np.add.reduce``, and the leaf sums are added back up the same
-    tree, so every sum is the double ``np.add.reduce`` over all of ``x``
-    would give.  ``leaf`` gets the first ``v.size`` values of the buffers
-    ``d`` and ``p``; data of at most ``_BLOCK`` values are one leaf.
+    ``h = n//2 - (n//2) % 8`` (:func:`_halves`) and adds the sums of its two
+    halves.  ``x`` is split the same way down to leaves of at most
+    :data:`_BLOCK` values, each summed by ``np.add.reduce``, and the leaf
+    sums are added back up the same tree, so every sum is the double
+    ``np.add.reduce`` over all of ``x`` would give.  ``leaf`` gets the first
+    ``v.size`` values of the buffers ``d`` and ``p``; data of at most
+    ``_BLOCK`` values are one leaf.
     """
     n = x.size
     if n <= _BLOCK:
         return leaf(x, d[:n], p[:n], *args)
-    h = n // 2 - n // 2 % 8
+    h = _halves(n)[0]
     left = _leaf_sums(x[:h], d, p, leaf, *args)
     return tuple(a + b for a, b in zip(left, _leaf_sums(x[h:], d, p, leaf, *args)))
 
@@ -215,6 +236,84 @@ def _power_sum(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: floa
     return (float(np.add.reduce(np.multiply(p, d, out=p))),)
 
 
+def _gather(x: np.ndarray, a: float, b: float, d: np.ndarray, masks: np.ndarray) -> tuple[int, int, int]:
+    """``(below, within, kept)``: the counts of ``x < a`` and of ``a <= x <= b``, and of the latter copied into ``d``.
+
+    ``x`` is walked in chunks of :data:`_CHUNK` values, their two masks
+    written into ``masks``; a chunk's values in ``[a, b]`` are copied into
+    ``d``, after those before them, while they fit, so ``d[:kept]`` holds
+    all of them when ``kept == within``.
+    """
+    below = within = kept = 0
+    for i in range(0, x.size, _CHUNK):
+        v = x[i : i + _CHUNK]
+        lt, le = masks[: v.size], masks[_CHUNK : _CHUNK + v.size]
+        n_lt = np.count_nonzero(np.less(v, a, out=lt))
+        c = np.count_nonzero(np.less_equal(v, b, out=le)) - n_lt
+        below, within = below + n_lt, within + c
+        if c and kept + c <= d.size:
+            d[kept : kept + c] = v[np.not_equal(le, lt, out=le)]
+            kept += c
+    return below, within, kept
+
+
+def _median(x: np.ndarray, lo: float, hi: float, d: np.ndarray, p: np.ndarray) -> float:
+    """``np.median(x)``'s double for ``x`` past one leaf (extremes ``lo``, ``hi``), selected in the buffers ``d`` and ``p``.
+
+    A bracket ``[lo, hi]`` holds the central ranks ``(n-1)//2`` and ``n//2``.
+    While it holds more values than ``d``, a round selects two pivots about
+    those ranks from a strided sample of its values, counts the values
+    below and between them (:func:`_gather`, the masks written over ``p``)
+    and narrows the bracket to the part that holds the ranks.  The values of
+    a bracket that fits ``d`` are gathered there (a bracket of one value
+    needs none), and the centre is ``np.mean`` over the one or two selected,
+    as in ``np.median``: the same double and the same overflow warning.  A
+    round that cannot shrink the bracket (heavy ties about the centre, an
+    adversarial order) and a zero at the centre, whose sign could depend on
+    which zero ``np.median``'s partition puts there, take ``np.median``.
+    """
+    n = x.size
+    r0, r1 = (n - 1) // 2, n // 2
+    masks = p.view(np.bool_)
+    below, within = 0, n  # the values under the bracket and in it
+    while True:
+        a, b = lo, hi
+        if within > d.size:
+            # A sample of t values costs about t to partition and leaves about 4 within / sqrt(t) to
+            # gather, least at t = (2 within)^(2/3); t is kept large enough that those fit half of d.
+            # An odd stride meets every place of a period of 2, 4, 8, ... values.
+            t = min(d.size, max(int((2 * within) ** (2 / 3)), (8 * within // d.size) ** 2))
+            k = _gather(x[:: -(-within // t) | 1], lo, hi, d, masks)[2]
+            if not k:
+                return float(np.median(x))
+            # Pivots about 4 standard deviations of a sample rank beyond the central ranks' places in the sample.
+            g = 2 * math.isqrt(k)
+            i0 = max((r0 - below) * k // within - g, 0)
+            i1 = min((r1 - below) * k // within + g, k - 1)
+            sample = d[:k]
+            sample.partition([i0, i1])
+            a, b = float(sample[i0]), float(sample[i1])
+        na, nw, kept = _gather(x, a, b, d, masks)
+        if na <= r0 and r1 < na + nw and (kept == nw or a == b):
+            break
+        # The bracket's values under a, in [a, b] and above b: keep the parts that hold the ranks.
+        top = below + within
+        if r1 < na + nw:
+            hi, top = (math.nextafter(a, -math.inf), na) if r1 < na else (b, na + nw)
+        if r0 >= na:
+            lo, below = (a, na) if r0 < na + nw else (math.nextafter(b, math.inf), na + nw)
+        if top - below == within:
+            return float(np.median(x))
+        within = top - below
+    if a == b:  # the central values are all a, however many values equal it
+        na, kept = r0, r1 - r0 + 1
+        d[:kept] = a
+    mid = d[:kept]
+    mid.partition([r0 - na, r1 - na])
+    mid = mid[r0 - na : r1 - na + 1]
+    return float(np.mean(mid)) if mid.all() else float(np.median(x))
+
+
 def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), with the two buffers of the fit.
 
@@ -236,9 +335,15 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     it neither closes nor leaves one double inside.  The solve holds two
     blocks whatever n is, and s and s' are the doubles a sum over all of
     ``x`` gives.  Sums are ``np.add.reduce``, the pairwise sum of
-    ``ndarray.sum`` without its Python wrapper.
+    ``ndarray.sum`` without its Python wrapper.  The lam = 1 location is
+    ``np.median``'s double: on one leaf ``np.median`` itself, past one leaf
+    selected block by block in the two buffers (:func:`_median`), with no
+    copy of the n values.
     """
     one = x.size <= _BLOCK
+    if lam == 1.0 and not one:
+        d, p = _buffers(x.size)
+        return _median(x, lo, hi, d, p), d, p
     # Off lam = 1 the mean, the double np.mean gives, is the location or the start point.
     mu = float(np.median(x)) if lam == 1.0 else float(np.add.reduce(x)) / x.size
     if lam == 1.0 or lam == 2.0:
@@ -329,9 +434,11 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     the signed ``sign(x_i - mu) |x_i - mu|^(lam-1)`` (off lam in {1, 2} the
     solve's last) times ``x_i - mu``; :func:`run_test` scores from those
     same arrays.  Past 32,768 values the data are walked in blocks of at
-    most that many, the leaves of numpy's pairwise sum, in two buffers;
-    each sum is added up the same tree, so it is the double of a sum over
-    the whole sample.
+    most that many, the leaves of numpy's pairwise sum, in two buffers the
+    size of the largest leaf; each sum is added up the same tree, so it is
+    the double of a sum over the whole sample.  The lam = 1 median is
+    ``np.median``'s double; past one block it is selected in those two
+    buffers too.
     """
     lam = check_lambda(lam)
     mu, sigma = _fit(*_as_clean_data(_reals(data, "data")), lam)[:2]
@@ -388,9 +495,10 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
     result is finite even when the fitted location coincides with a data
     point (the ``y = 0`` conventions of :func:`stacked_scores`).  The residual
     power is the location solve's signed ``sign(d) |d|^(lam-1)``, times
-    ``d``, in two buffers of at most 32,768 values: past that many the data
-    are walked in blocks, the leaves of numpy's pairwise sum, and each sum
-    is added up the same tree, the double of a sum over the whole sample.
+    ``d``, in two buffers the size of the largest leaf of numpy's pairwise
+    sum, at most 32,768 values: past that many the data are walked leaf by
+    leaf, and each sum is added up the same tree, the double of a sum over
+    the whole sample.
     :func:`run_test` averages its fit's own residuals with the same code.
     Data of fewer than 2 observations raise :class:`DegenerateSampleError`,
     as in :func:`fit_null_mle`.

@@ -14,6 +14,9 @@ warning the case raised.  The cases:
   1e+-150 and 1e+-300, and on ties, signed zeros, a fit on a data point, data
   scaled by 1e+-150 and 1e+-300, the +-1.7e308 span and too few
   observations;
+- the same three at lam = 1 on :func:`median_inputs`, samples of more than
+  one block whose median is selected block by block or left to
+  ``np.median``;
 - ``apd.sample`` draws, by sha256, at tail exponents whose ``1/theta2``
   covers every fast path of ``**`` (0.5, 1, 2) and ``np.power``;
 - the sha256 of the JSON of size studies at lam = 3 and power studies at
@@ -104,6 +107,41 @@ SPECIAL = {
 }
 
 
+def median_inputs() -> dict[str, np.ndarray]:
+    """Samples of more than one leaf whose lam = 1 location is ``np.median``'s double: name -> values.
+
+    Laplace draws in their own, sorted, reversed and organ-pipe order,
+    periodic tiles, ties at the centre, signed zeros at the centre, and
+    draws scaled to the ends of the double range; at both ``LEAF_SIZES``.
+    """
+    inputs = {}
+    for n in LEAF_SIZES:
+        x = apd.sample(apd.ApdParams(0.5, 1.0), n, np.random.default_rng(6))
+        z = np.random.default_rng(7).standard_normal(n)
+        up = np.sort(x)
+        lone = np.full(n, 2.5)
+        lone[n // 3] = -1.0
+        zeros = x.copy()
+        zeros[::10] = np.copysign(0.0, z[::10])
+        cases = {
+            "laplace": x,
+            "sorted": up,
+            "reversed": up[::-1].copy(),
+            "organ-pipe": np.concatenate([up[::2], up[1::2][::-1]]),
+            "period-8": np.resize(x[:8], n),
+            "period-13": np.resize(x[:13], n),
+            "two-valued": np.where(z < 0.0, 1.5, 2.5),
+            "all-but-one-equal": lone,
+            "normal-rounded": np.round(z, 1),
+            "(3+normal)-rounded": np.round(3.0 + z, 1),
+            "signed-zeros": zeros,
+            **{f"laplace*{s:g}": x * s for s in (1e300, 1e-300, 1e-310)},
+            "1.5e308+laplace*1e306": 1.5e308 + x * 1e306,
+        }
+        inputs.update({f"{name} n={n}": v for name, v in cases.items()})
+    return inputs
+
+
 def _line(name: str, call) -> str:
     """``name: outputs [warnings]`` for the str or the floats ``call()`` returns, or for its error."""
     with warnings.catch_warnings(record=True) as caught:
@@ -170,6 +208,8 @@ def digest(quick: bool = False) -> list[str]:
                 lines += _tests(f"null lam={lam} mu={mu} sigma={sigma} n={n} seed=0", x, lam)
         for s in SCALES:
             lines += _tests(f"normal*{s:g} n={LEAF_SIZES[0]} lam={lam}", _LEAF_NORMAL * s, lam)
+    for name, x in () if quick else median_inputs().items():
+        lines += _tests(f"median {name} lam=1.0", x, 1.0)
     for t2 in SHAPES:
         for t1, mu, sigma in ((0.5, 0.0, 1.0), (0.3, 1000.0, 50.0)):
             params = apd.ApdParams(t1, t2, mu, sigma)

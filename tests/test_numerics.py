@@ -335,6 +335,14 @@ class TestPoissonPairKernel:
         far = np.array([max(ncp - 60.0 * math.sqrt(ncp), 0.0), ncp + 60.0 * math.sqrt(ncp)])
         assert numerics._chi2_cdf(far, ncp).tolist() == [0.0, 1.0]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ncp", [100.0, 1000.0])
+    def test_infinity_and_nan_either_side_of_the_erlang_sum(self, ncp):
+        # Past ncp ~ 143 the window of x = inf was NaN, so inf gave 0 (and NaN
+        # gave 0) with an "invalid value" warning; both branches give 1 and NaN.
+        cdf = numerics._chi2_cdf(np.array([np.inf, np.nan, 1e308, 2000.0]), ncp)
+        assert cdf[0] == 1.0 and math.isnan(cdf[1]) and cdf[2:].tolist() == [1.0, 1.0]
+
     @pytest.mark.parametrize("ncp", [1e-300, 1e-3, 0.458, 40.0, 143.0, 144.0, 800.0, 1e6])
     def test_array_gives_the_doubles_of_scalar_calls(self, ncp):
         rng = np.random.default_rng(25)

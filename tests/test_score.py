@@ -36,9 +36,16 @@ from apdgof.score import (
     score_covariance,
     stacked_scores,
 )
+from tests import digest
 
 LOG2_PSI2 = 1.1159315156584124  # log 2 + digamma(2), 50-digit reference
 LAM_GRID = [1.0, 1.5, 2.0, 3.0]
+# The lam = 1 selection corpus of the digest; on its huge samples the scale sum overflows.
+MEDIAN_NAMES = list(digest.median_inputs())
+HUGE = "1.5e308+laplace*1e306"
+# Inputs whose centre lies next to the edge of two blocks of ties, so that no round
+# can shrink the bracket, or whose centre is a zero, may take np.median.
+MEDIAN_TIES = ("two-valued", "normal-rounded", "signed-zeros")
 
 
 def run_test_fixed_loc_scale(data, lam, loc_scale, alpha=0.05):
@@ -499,6 +506,59 @@ class TestLeafSums:
 
         assert score_mod._leaf_sums(x, d, p, leaf) == (float(np.add.reduce(x)), float(np.add.reduce(-3.0 * x)))
 
+    @pytest.mark.parametrize("n", [B, B + 1, 2 * B + 9, 100_000, 300_001, 1_000_000])
+    def test_buffers_hold_the_largest_leaf(self, n):
+        # At 2B + 9 the left half is a leaf of exactly B values and the right
+        # half splits into 16,384 and 16,393: a buffer sized by the right
+        # half alone is too small for its first leaf.
+        sizes = []
+
+        def leaf(v, dv, pv):
+            sizes.append(v.size)
+            return ()
+
+        d, p = score_mod._buffers(n)
+        score_mod._leaf_sums(np.zeros(n), d, p, leaf)
+        assert d.size == p.size == max(sizes)
+
+
+@pytest.fixture(scope="module")
+def median_inputs():
+    return digest.median_inputs()
+
+
+class TestMedianSelection:
+    """Past one leaf the lam = 1 location is np.median's double, selected block by block in the fit's buffers."""
+
+    @pytest.mark.parametrize("name", [name for name in MEDIAN_NAMES if not name.startswith(HUGE)])
+    def test_location_is_np_median_bit_for_bit(self, monkeypatch, median_inputs, name):
+        # float.hex: the sign of a zero at the centre counts.
+        x = median_inputs[name]
+        expected = float(np.median(x)).hex()
+        calls = []
+        median = np.median
+        monkeypatch.setattr(np, "median", lambda *args: calls.append(args) or median(*args))
+        assert fit_null_mle(x, 1.0).mu.hex() == expected
+        if "1e-310" not in name:  # there 1/sigma overflows, the score is NaN and T refused (ROADMAP item 2)
+            assert run_test(x, 1.0).loc_scale.mu.hex() == expected
+        if not name.startswith(MEDIAN_TIES):
+            assert not calls  # selected, with no copy of the n values
+
+    @pytest.mark.parametrize("n", digest.LEAF_SIZES)
+    def test_huge_centre_warns_as_np_median_does(self, median_inputs, n):
+        # At even n the central mean overflows, with np.median's warning.
+        x = median_inputs[f"{HUGE} n={n}"]
+
+        def located(locate):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                mu = locate()
+            return mu, [str(w.message) for w in caught]
+
+        expected = located(lambda: float(np.median(x)))
+        assert expected[1] == (["overflow encountered in reduce"] if n % 2 == 0 else [])
+        assert located(lambda: score_mod._locate(x, float(x.min()), float(x.max()), 1.0)[0]) == expected
+
 
 class TestLocateWork:
     """Past one leaf, the location solve forms s' only on the passes whose step needs it."""
@@ -921,11 +981,10 @@ class TestRunTest:
     @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0])
     def test_working_memory_does_not_grow_with_n(self, lam):
         # Past _BLOCK values the fit and the score walk the data in blocks,
-        # in two buffers of _BLOCK values; at lam = 1 np.median's partition
-        # copy still holds all n values.
+        # in two buffers of at most _BLOCK values; at lam = 1 the median is
+        # selected in those same two buffers.
         x = apd.sample(apd.ApdParams(0.5, lam, 3.0, 2.0), 1_000_000, np.random.default_rng(19))
-        blocks = 2 * score_mod._BLOCK * x.itemsize
-        bound = blocks + 64 * 1024 if lam != 1.0 else 1.05 * x.nbytes + blocks
+        bound = 2 * score_mod._BLOCK * x.itemsize + 64 * 1024
         fit = fit_null_mle(x, lam)
         calls = {
             "run_test": lambda: run_test(x, lam),
