@@ -47,6 +47,8 @@ _ROOT_MAX_ITER = 200
 # Values in a block of a large sample: three float64 blocks fit a 2 MiB per-core L2.
 _BLOCK = 2**15
 # Values a walk of the lam = 1 median selection compares at a time: a chunk's gather copies at most 32 KiB.
+# Its two masks of _CHUNK bools are written over the buffer p, whose largest leaf past one block holds
+# more than _BLOCK / 2 values, so _BLOCK must be at least _CHUNK / 2; below that the masks can outgrow p.
 _CHUNK = 2**12
 # The location solve's floating-point error state: s' is 0/0 on a data point,
 # and a power may overflow; either way the pass bisects.
@@ -136,13 +138,13 @@ def _as_clean_data(x: np.ndarray) -> tuple[np.ndarray, float, float]:
     return x, lo, hi
 
 
-def _residuals(x: np.ndarray, mu: float, lam: float, d=None, p=None):
+def _residuals(x: np.ndarray, mu: float, lam: float, d: np.ndarray, p: np.ndarray):
     """``d = x - mu`` and ``p = sign(d) |d|^(lam-1)``: the residual power of every fit and score.
 
-    Both are written into the buffers ``d`` and ``p`` when given.  ``|d|^lam``
-    is the product ``p d``: the signs of ``p`` and ``d`` match, so it is
-    never negative (``copysign(1, -0) * -0`` is +0).  The power of ``|d|``
-    is formed in place by ``numerics._power``, the kernel the ``**``
+    Both are written into the buffers ``d`` and ``p``, of ``x``'s size.
+    ``|d|^lam`` is the product ``p d``: the signs of ``p`` and ``d`` match,
+    so it is never negative (``copysign(1, -0) * -0`` is +0).  The power of
+    ``|d|`` is formed in place by ``numerics._power``, the kernel the ``**``
     operator picks for the exponent (the one ``apd.sample`` draws with), so
     the doubles are the same.  At exponent 2 the signed power is the one
     multiply ``|d| d``, the same doubles as the square signed as ``d`` (-0,
@@ -317,25 +319,25 @@ def _median(x: np.ndarray, lo: float, hi: float, d: np.ndarray, p: np.ndarray) -
 def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), with the two buffers of the fit.
 
-    Returns ``(mu, d, p)``, two buffers allocated once.  When ``x`` is one
-    leaf (n <= _BLOCK, every study), they hold ``d = x - mu`` and sign(d)
-    |d|^(lam-1) at the returned ``mu``; past one leaf they are the blocks of
-    :func:`_buffers`, scratch for the walks that follow.  Each pass writes
-    ``d`` and the signed power ``p`` (:func:`_residuals`; at lam = 3 the one
-    multiply ``|d| d``), takes s from ``p`` and s' from ``p`` over ``d``
-    (:func:`_slope_sums`).  A pass ends the solve before that divide when
-    s = 0 or when the sign of s leaves no double strictly inside the
-    bracket, where every step would land on an end and stop; when it leaves
-    one double inside, every step lands on that double, and the pass moves
-    there without s'.  Out of passes, and for lam in {1, 2}, both are formed
-    at ``mu``.  Past one leaf, a pass walks the leaves of :func:`_leaf_sums`
-    and forms s and s' leaf by leaf in the two buffers, added up numpy's
-    pairwise tree; a pass at ``mu`` next to a bracket end forms s alone
-    (:func:`_signed_sum`), as it may close, and walks again for s' only if
-    it neither closes nor leaves one double inside.  The solve holds two
-    blocks whatever n is, and s and s' are the doubles a sum over all of
-    ``x`` gives.  Sums are ``np.add.reduce``, the pairwise sum of
-    ``ndarray.sum`` without its Python wrapper.  The lam = 1 location is
+    Returns ``(mu, d, p)``, the two buffers of :func:`_buffers`, allocated
+    once for every lam and n.  When ``x`` is one leaf (n <= _BLOCK, every
+    study), they hold ``d = x - mu`` and sign(d) |d|^(lam-1) at the returned
+    ``mu``; past one leaf they are scratch for the walks that follow.  Each
+    pass writes ``d`` and the signed power ``p`` (:func:`_residuals`; at lam
+    = 3 the one multiply ``|d| d``), takes s from ``p`` and s' from ``p``
+    over ``d`` (:func:`_slope_sums`).  A pass ends the solve before that
+    divide when s = 0 or when the sign of s leaves no double strictly inside
+    the bracket, where every step would land on an end and stop; when it
+    leaves one double inside, every step lands on that double, and the pass
+    moves there without s'.  Out of passes, and for lam in {1, 2}, both are
+    formed at ``mu``.  Past one leaf, a pass walks the leaves of
+    :func:`_leaf_sums` and forms s and s' leaf by leaf in the two buffers,
+    added up numpy's pairwise tree; a pass at ``mu`` next to a bracket end
+    forms s alone (:func:`_signed_sum`), as it may close, and walks again
+    for s' only if it neither closes nor leaves one double inside.  The
+    solve holds two blocks whatever n is, and s and s' are the doubles a sum
+    over all of ``x`` gives.  Sums are ``np.add.reduce``, the pairwise sum
+    of ``ndarray.sum`` without its Python wrapper.  The lam = 1 location is
     ``np.median``'s double: on one leaf ``np.median`` itself, past one leaf
     selected block by block in the two buffers (:func:`_median`), with no
     copy of the n values.
@@ -346,9 +348,11 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
         return _median(x, lo, hi, d, p), d, p
     # Off lam = 1 the mean, the double np.mean gives, is the location or the start point.
     mu = float(np.median(x)) if lam == 1.0 else float(np.add.reduce(x)) / x.size
+    d, p = _buffers(x.size)  # after np.median, whose copy of the leaf is gone by then
     if lam == 1.0 or lam == 2.0:
-        return (mu, *(_residuals(x, mu, lam) if one else _buffers(x.size)))
-    d, p = _buffers(x.size)
+        if one:
+            _residuals(x, mu, lam, d, p)
+        return mu, d, p
     # Full convergence keeps the statistic affine-invariant to ~1e-10 even
     # for shifted data.  s' may overflow for lam near 1.  A step not under
     # half the previous one means Newton cycles or walks the rounding noise
@@ -400,7 +404,8 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
 def _fit(x: np.ndarray, lo: float, hi: float, lam: float):
     """Null MLE ``mu``, ``sigma`` on ``x`` (extremes ``lo``, ``hi``), with :func:`_locate`'s two buffers.
 
-    On one leaf the buffers hold ``d = x - mu`` and ``|d|^lam``, the latter
+    They are :func:`_buffers`' at every lam and n, and the score reads them
+    next.  On one leaf they hold ``d = x - mu`` and ``|d|^lam``, the latter
     ``p d`` for :func:`_locate`'s signed power ``p``, formed in ``p``'s
     buffer.  Past one leaf the scale walks the leaves once more
     (:func:`_power_sum`), and its sum is added up numpy's pairwise tree, the
@@ -433,12 +438,12 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     Scale: ``((lam/2) mean(|x_i - mu|^lam))^(1/lam)``, the powers taken as
     the signed ``sign(x_i - mu) |x_i - mu|^(lam-1)`` (off lam in {1, 2} the
     solve's last) times ``x_i - mu``; :func:`run_test` scores from those
-    same arrays.  Past 32,768 values the data are walked in blocks of at
-    most that many, the leaves of numpy's pairwise sum, in two buffers the
-    size of the largest leaf; each sum is added up the same tree, so it is
-    the double of a sum over the whole sample.  The lam = 1 median is
-    ``np.median``'s double; past one block it is selected in those two
-    buffers too.
+    same arrays.  At every lam the fit holds two buffers the size of the
+    largest leaf of numpy's pairwise sum, n values up to 32,768.  Past that
+    many the data are walked in blocks, those leaves; each sum is added up
+    the same tree, so it is the double of a sum over the whole sample.  The
+    lam = 1 median is ``np.median``'s double; past one block it is selected
+    in the two buffers too.
     """
     lam = check_lambda(lam)
     mu, sigma = _fit(*_as_clean_data(_reals(data, "data")), lam)[:2]
@@ -479,12 +484,16 @@ def _mean_shape_score(x, d, p, mu: float, sigma: float, lam: float, fitted: bool
     ``fitted``: ``mu`` and ``sigma`` are :func:`_fit`'s on ``x``, and ``d``
     and ``p`` its buffers.  On one leaf they hold ``x - mu`` and
     ``|x - mu|^lam``, which are scored as they are; past one leaf they are
-    formed again in the error state the fit formed them in.
+    formed again in the error state the fit formed them in.  Sums that are
+    not finite, e.g. where ``sigma`` is subnormal and ``sigma^-lam``
+    overflows, raise :class:`DomainError`, naming ``sigma`` and ``lam``.
     """
     if fitted and x.size <= _BLOCK:
         s1, s2 = _shape_sums(d, p, sigma, lam)
     else:
         s1, s2 = _leaf_sums(x, d, p, _score_sums, mu, lam, sigma, _fit_state(lam) if fitted else {})
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        raise DomainError(f"the shape score is not finite at the scale sigma = {sigma!r} for lam = {lam!r}")
     return np.array([-lam * s1 / x.size, -0.5 * (s2 / x.size - 2.0 / lam**2 * _nu(lam))])
 
 
@@ -501,7 +510,8 @@ def modified_score(data, lam: float, fit: LocationScale) -> np.ndarray:
     the whole sample.
     :func:`run_test` averages its fit's own residuals with the same code.
     Data of fewer than 2 observations raise :class:`DegenerateSampleError`,
-    as in :func:`fit_null_mle`.
+    as in :func:`fit_null_mle`, and a score that is not finite (a scale so
+    small that ``sigma^-lam`` overflows) raises :class:`DomainError`.
     """
     lam = check_lambda(lam)
     if not isinstance(fit, LocationScale):

@@ -28,7 +28,6 @@ from .score import (
     _check_delta,
     _test,
     check_lambda,
-    fit_null_mle,
     noncentrality,
     stacked_scores,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "run_local_alternative_study",
     "mc_fisher_check",
     "quadrature_fisher",
-    "mle_rmse_study",
 ]
 
 _SCHEMA_VERSION = "1"
@@ -357,23 +355,3 @@ def quadrature_fisher(lam: float) -> np.ndarray:
             out[a, b] = out[b, a] = entry(a, b)
     return out
 
-
-def mle_rmse_study(lam: float, n: int, reps: int, seed: int) -> tuple[float, float]:
-    """Root-mean-square errors of the fitted location and scale under the null.
-
-    The data have location 0 and scale 1.  Used to verify the root-n
-    consistency rate: the RMSE at sample size ``16 n`` should be about a
-    quarter of the RMSE at ``n``.  ``n``, ``reps`` and ``seed`` follow the
-    :class:`StudyConfig` rules and raise :class:`ConfigError` where it would.
-    """
-    lam = check_lambda(lam)
-    cfg = StudyConfig(lam, n, reps, seed)
-    params = apd.ApdParams(theta1=0.5, theta2=lam)
-    sq_mu = 0.0
-    sq_sigma = 0.0
-    for r in range(cfg.reps):
-        rng = replicate_rng(cfg.seed, r)
-        fit = fit_null_mle(apd.sample(params, cfg.n, rng), lam)
-        sq_mu += fit.mu**2
-        sq_sigma += (fit.sigma - 1.0) ** 2
-    return math.sqrt(sq_mu / cfg.reps), math.sqrt(sq_sigma / cfg.reps)

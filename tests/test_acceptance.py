@@ -4,6 +4,8 @@ to see the lines as they complete).
 
 All tolerances and Monte Carlo bands are fixed here, together with the seeds
 of every randomized study, so the whole suite is deterministic.
+Criterion 5's study, :func:`mle_rmse_study`, is a helper of this suite, not
+of the library; ``tests/test_simulate.py`` checks its own contract.
 """
 
 import math
@@ -14,6 +16,7 @@ import pytest
 from apdgof import apd, numerics
 from apdgof.apd import ApdParams, SepdParams, from_sepd, pdf
 from apdgof.score import (
+    check_lambda,
     fisher_information,
     fit_null_mle,
     run_test,
@@ -22,7 +25,6 @@ from apdgof.score import (
 )
 from apdgof.simulate import (
     StudyConfig,
-    mle_rmse_study,
     quadrature_fisher,
     replicate_rng,
     run_local_alternative_study,
@@ -37,6 +39,27 @@ KS_ONE_PERCENT = 1.63  # asymptotic 1% Kolmogorov-Smirnov critical coefficient
 def check(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def mle_rmse_study(lam: float, n: int, reps: int, seed: int) -> tuple[float, float]:
+    """Root-mean-square errors of the fitted location and scale under the null.
+
+    The data have location 0 and scale 1.  Criterion 5 checks the root-n
+    consistency rate with it: the RMSE at sample size ``16 n`` should be
+    about a quarter of the RMSE at ``n``.  ``lam`` follows
+    :func:`check_lambda`, and ``n``, ``reps`` and ``seed`` the
+    :class:`StudyConfig` rules, raising :class:`ConfigError` where it would.
+    """
+    lam = check_lambda(lam)
+    cfg = StudyConfig(lam, n, reps, seed)
+    params = ApdParams(theta1=0.5, theta2=lam)
+    sq_mu = 0.0
+    sq_sigma = 0.0
+    for r in range(cfg.reps):
+        fit = fit_null_mle(apd.sample(params, cfg.n, replicate_rng(cfg.seed, r)), lam)
+        sq_mu += fit.mu**2
+        sq_sigma += (fit.sigma - 1.0) ** 2
+    return math.sqrt(sq_mu / cfg.reps), math.sqrt(sq_sigma / cfg.reps)
 
 
 def test_c01_closed_form_covariance_matches_quadrature():

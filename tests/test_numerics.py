@@ -28,6 +28,7 @@ from apdgof.numerics import (
     integrate,
     noncentral_chi2_sf,
 )
+from tests import test_acceptance
 
 mp.mp.dps = 50
 
@@ -498,7 +499,7 @@ X = np.arange(10.0)
         pytest.param(lambda: gamma_sample(HUGE, np.random.default_rng(0)), id="gamma_sample"),
         pytest.param(lambda: apd.ApdParams(0.5, HUGE), id="ApdParams"),
         pytest.param(lambda: score.LocationScale(HUGE, 1.0), id="LocationScale"),
-        pytest.param(lambda: simulate.mle_rmse_study(HUGE, 20, 100, 1), id="mle_rmse_study"),
+        pytest.param(lambda: test_acceptance.mle_rmse_study(HUGE, 20, 100, 1), id="mle_rmse_study"),
         pytest.param(lambda: simulate.mc_fisher_check(HUGE, 10**5, 1), id="mc_fisher_check"),
     ],
 )

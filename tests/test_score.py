@@ -456,9 +456,12 @@ class TestSignedResidualPower:
     EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-162, -1.5e-162, 1e-160, -1e-160,
              1.34e154, -1.34e154, 1.35e154, -1.35e154, 0.3, -2.5, 7.0]
 
+    def buffers(self):
+        return score_mod._buffers(len(self.EDGES))
+
     def test_square_is_one_multiply_bit_for_bit(self):
         with np.errstate(over="ignore"):
-            d, p = score_mod._residuals(np.array(self.EDGES), 0.0, 3.0)
+            d, p = score_mod._residuals(np.array(self.EDGES), 0.0, 3.0, *self.buffers())
             expected = np.copysign(np.square(np.abs(d)), d)
         assert bits(d).tolist() == bits(self.EDGES).tolist()
         assert bits(p).tolist() == bits(expected).tolist()
@@ -469,7 +472,7 @@ class TestSignedResidualPower:
     def test_signed_power_is_the_unsigned_power_signed(self, lam):
         x = np.concatenate([self.EDGES, apd.sample(apd.ApdParams(0.5, 3.0), 2000, np.random.default_rng(4))])
         with np.errstate(under="ignore", over="ignore"):
-            d, p = score_mod._residuals(x, 0.1, lam)
+            d, p = score_mod._residuals(x, 0.1, lam, *score_mod._buffers(x.size))
             expected = np.copysign(np.abs(x - 0.1) ** (lam - 1.0), x - 0.1)
         assert bits(d).tolist() == bits(x - 0.1).tolist()
         assert bits(p).tolist() == bits(expected).tolist()
@@ -477,7 +480,7 @@ class TestSignedResidualPower:
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_power_times_residual_is_the_lam_power(self, lam):
         # Exponents 0 and 1: p is +-1 signed as d, then d itself; p d is |d|^lam, +0 at -0.
-        d, p = score_mod._residuals(np.array(self.EDGES), 0.0, lam)
+        d, p = score_mod._residuals(np.array(self.EDGES), 0.0, lam, *self.buffers())
         with np.errstate(under="ignore", over="ignore"):
             expected = np.abs(d) ** lam
             adl = p * d
@@ -539,7 +542,7 @@ class TestMedianSelection:
         median = np.median
         monkeypatch.setattr(np, "median", lambda *args: calls.append(args) or median(*args))
         assert fit_null_mle(x, 1.0).mu.hex() == expected
-        if "1e-310" not in name:  # there 1/sigma overflows, the score is NaN and T refused (ROADMAP item 2)
+        if "1e-310" not in name:  # there sigma is subnormal, so the score is refused (TestNonFiniteScore)
             assert run_test(x, 1.0).loc_scale.mu.hex() == expected
         if not name.startswith(MEDIAN_TIES):
             assert not calls  # selected, with no copy of the n values
@@ -558,6 +561,62 @@ class TestMedianSelection:
         expected = located(lambda: float(np.median(x)))
         assert expected[1] == (["overflow encountered in reduce"] if n % 2 == 0 else [])
         assert located(lambda: score_mod._locate(x, float(x.min()), float(x.max()), 1.0)[0]) == expected
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # Blocks of 2**11 values leave buffers of about 1,500 values at n = 1e5, so the
+        # selection takes several rounds; 2**11 is the least _BLOCK that _CHUNK allows.
+        score_mod._largest_leaf.cache_clear()
+        monkeypatch.setattr(score_mod, "_BLOCK", 2**11)
+        yield
+        score_mod._largest_leaf.cache_clear()
+
+    @staticmethod
+    def located(monkeypatch, x):
+        """``(mu, rounds, np.median calls)`` of ``fit_null_mle(x, 1)``: a round gathers from all of ``x``."""
+        rounds, calls = [], []
+        gather, median = score_mod._gather, np.median
+        monkeypatch.setattr(score_mod, "_gather", lambda v, *args: rounds.append(v.size == x.size) or gather(v, *args))
+        monkeypatch.setattr(np, "median", lambda *args: calls.append(args) or median(*args))
+        return fit_null_mle(x, 1.0).mu, sum(rounds), len(calls)
+
+    @pytest.mark.parametrize("n, order", [(100_000, None), (1_000_000, None), (100_001, np.sort)])
+    def test_several_rounds_select_np_median(self, monkeypatch, small_blocks, n, order):
+        x = apd.sample(apd.ApdParams(0.5, 1.0), n, np.random.default_rng(6))
+        x = x if order is None else order(x)
+        expected = float(np.median(x)).hex()
+        mu, rounds, calls = self.located(monkeypatch, x)
+        assert (mu.hex(), calls) == (expected, 0)
+        assert rounds >= 2
+
+    def test_a_sample_with_no_value_in_the_bracket_takes_np_median(self, monkeypatch, small_blocks):
+        # Every 7th value is +-1e3: the first round keeps the draws about the centre, and the
+        # second round's sample, at stride 7, holds none of them.
+        x = apd.sample(apd.ApdParams(0.5, 1.0), 100_000, np.random.default_rng(6))
+        x[::7] = np.where(np.arange(x[::7].size) % 2, 1e3, -1e3)
+        expected = float(np.median(x)).hex()
+        mu, rounds, calls = self.located(monkeypatch, x)
+        assert (mu.hex(), rounds, calls) == (expected, 1, 1)
+
+
+class TestNonFiniteScore:
+    """A score whose sums are not finite is refused with a DomainError that names the scale and lam."""
+
+    # At a subnormal sigma (about 1e-310 here), sigma^-lam overflows and the sums are NaN;
+    # chi2_sf then refused T as an "x" that the caller never passed.  The fit itself
+    # succeeds.  ROADMAP item 2's scaling is the fix that would let these data be tested.
+    @pytest.mark.parametrize("n", [2000, 65_545])
+    def test_subnormal_scale(self, n):
+        x = apd.sample(apd.ApdParams(0.5, 1.0), n, np.random.default_rng(6)) * 1e-310
+        fit = fit_null_mle(x, 1.0)
+        assert 0.0 < fit.sigma < np.finfo(float).smallest_normal
+        for call in (lambda: run_test(x, 1.0), lambda: modified_score(x, 1.0, fit)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(DomainError) as err:
+                    call()
+            assert str(err.value) == f"the shape score is not finite at the scale sigma = {fit.sigma!r} for lam = 1.0"
+            assert "overflow encountered in power" in {str(w.message) for w in caught}
 
 
 class TestLocateWork:

@@ -15,12 +15,12 @@ from apdgof.simulate import (
     StudyConfig,
     ks_distance,
     mc_fisher_check,
-    mle_rmse_study,
     quadrature_fisher,
     replicate_rng,
     run_local_alternative_study,
     run_null_study,
 )
+from tests.test_acceptance import mle_rmse_study
 from tests.test_numerics import poisson_series_sf
 
 
@@ -103,6 +103,10 @@ class TestStudyConfig:
         cfg = StudyConfig(lam=1.0, n=100, reps=100, seed=0, delta=(-6.0, 0.0))
         with pytest.raises(ConfigError):
             cfg.shifted_shape()
+
+    def test_shifted_shape_of_a_null_config(self):
+        with pytest.raises(ConfigError, match="^delta is not set$"):
+            StudyConfig(lam=2.0, n=100, reps=100, seed=0).shifted_shape()
 
     def test_shifted_shape_value(self):
         cfg = StudyConfig(lam=2.0, n=400, reps=100, seed=0, delta=(0.5, 0.3))
@@ -361,6 +365,8 @@ class TestQuadratureFisher:
 
 
 class TestMleRmseStudy:
+    """The acceptance suite's criterion-5 helper, ``tests.test_acceptance.mle_rmse_study``."""
+
     def test_deterministic(self):
         a = mle_rmse_study(2.0, 100, 100, seed=17)
         b = mle_rmse_study(2.0, 100, 100, seed=17)
