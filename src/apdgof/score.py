@@ -149,10 +149,13 @@ def _residuals(x: np.ndarray, mu: float, lam: float, d: np.ndarray, p: np.ndarra
     the doubles are the same.  At exponent 2 the signed power is the one
     multiply ``|d| d``, the same doubles as the square signed as ``d`` (-0,
     underflow and overflow included); at exponent 1 it is a copy of ``d``,
-    which ``sign(d) |d|`` is bit for bit.
+    which ``sign(d) |d|`` is bit for bit, and at exponent 0 it is ``d``'s
+    sign on 1, as ``|d|^0`` is 1 for every ``d``, inf included.
     """
     d = np.subtract(x, mu, out=d)
     e = lam - 1.0
+    if e == 0.0:
+        return d, np.copysign(1.0, d, out=p)
     if e == 1.0:
         return d, np.positive(d, out=p)
     p = np.abs(d, out=p)
@@ -180,7 +183,12 @@ def _largest_leaf(n: int) -> int:
 
 
 def _buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two float64 buffers of a fit or a score on ``n`` values, each of :func:`_largest_leaf` values."""
+    """The two float64 buffers of a fit or a score on ``n`` values, each of :func:`_largest_leaf` values.
+
+    Every fit and score takes its buffers here, but for one exception: a
+    sample handed over to a one-leaf fit at lam in {1, 2} is its own ``d``
+    (:func:`_locate`).
+    """
     m = _largest_leaf(n)
     return np.empty(m), np.empty(m)
 
@@ -316,13 +324,17 @@ def _median(x: np.ndarray, lo: float, hi: float, d: np.ndarray, p: np.ndarray) -
     return float(np.mean(mid)) if mid.all() else float(np.median(x))
 
 
-def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
+def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = False):
     """Null MLE of location on ``x`` (extremes ``lo``, ``hi``), with the two buffers of the fit.
 
     Returns ``(mu, d, p)``, the two buffers of :func:`_buffers`, allocated
     once for every lam and n.  When ``x`` is one leaf (n <= _BLOCK, every
     study), they hold ``d = x - mu`` and sign(d) |d|^(lam-1) at the returned
-    ``mu``; past one leaf they are scratch for the walks that follow.  Each
+    ``mu``; past one leaf they are scratch for the walks that follow.  The
+    one exception: with ``overwrite`` (a sample handed over, which nothing
+    reads after the fit), a one-leaf fit at lam in {1, 2}, which reads ``x``
+    no more once ``mu`` is known, writes ``d`` over ``x`` and allocates only
+    ``p``.  Every other fit rereads ``x`` on each pass or walk.  Each
     pass writes ``d`` and the signed power ``p`` (:func:`_residuals`; at lam
     = 3 the one multiply ``|d| d``), takes s from ``p`` and s' from ``p``
     over ``d`` (:func:`_slope_sums`).  A pass ends the solve before that
@@ -348,11 +360,13 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
         return _median(x, lo, hi, d, p), d, p
     # Off lam = 1 the mean, the double np.mean gives, is the location or the start point.
     mu = float(np.median(x)) if lam == 1.0 else float(np.add.reduce(x)) / x.size
-    d, p = _buffers(x.size)  # after np.median, whose copy of the leaf is gone by then
     if lam == 1.0 or lam == 2.0:
-        if one:
-            _residuals(x, mu, lam, d, p)
-        return mu, d, p
+        if not one:
+            return (mu, *_buffers(x.size))
+        # After np.median, whose copy of the leaf is gone by then.
+        d, p = (x, np.empty(x.size)) if overwrite else _buffers(x.size)
+        return (mu, *_residuals(x, mu, lam, d, p))
+    d, p = _buffers(x.size)
     # Full convergence keeps the statistic affine-invariant to ~1e-10 even
     # for shifted data.  s' may overflow for lam near 1.  A step not under
     # half the previous one means Newton cycles or walks the rounding noise
@@ -401,17 +415,18 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float):
     return mu, d, p
 
 
-def _fit(x: np.ndarray, lo: float, hi: float, lam: float):
+def _fit(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = False):
     """Null MLE ``mu``, ``sigma`` on ``x`` (extremes ``lo``, ``hi``), with :func:`_locate`'s two buffers.
 
-    They are :func:`_buffers`' at every lam and n, and the score reads them
-    next.  On one leaf they hold ``d = x - mu`` and ``|d|^lam``, the latter
-    ``p d`` for :func:`_locate`'s signed power ``p``, formed in ``p``'s
-    buffer.  Past one leaf the scale walks the leaves once more
-    (:func:`_power_sum`), and its sum is added up numpy's pairwise tree, the
-    double of a sum over all of ``|d|^lam``.
+    They are :func:`_buffers`' at every lam and n, but for ``overwrite``'s
+    exception (:func:`_locate`), and the score reads them next.  On one
+    leaf they hold ``d = x - mu`` and ``|d|^lam``, the latter ``p d`` for
+    :func:`_locate`'s signed power ``p``, formed in ``p``'s buffer.  Past
+    one leaf the scale walks the leaves once more (:func:`_power_sum`), and
+    its sum is added up numpy's pairwise tree, the double of a sum over all
+    of ``|d|^lam``.
     """
-    mu, d, p = _locate(x, lo, hi, lam)
+    mu, d, p = _locate(x, lo, hi, lam, overwrite)
     if x.size <= _BLOCK:
         total = float(np.add.reduce(np.multiply(p, d, out=p)))
     else:
@@ -443,7 +458,8 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     many the data are walked in blocks, those leaves; each sum is added up
     the same tree, so it is the double of a sum over the whole sample.  The
     lam = 1 median is ``np.median``'s double; past one block it is selected
-    in the two buffers too.
+    in the two buffers too.  ``data`` is never written: only a study's
+    replicate hands its draws over to be overwritten (:func:`_test`).
     """
     lam = check_lambda(lam)
     mu, sigma = _fit(*_as_clean_data(_reals(data, "data")), lam)[:2]
@@ -720,14 +736,21 @@ def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:
     return _report(n, lam, LocationScale(mu=mu, sigma=sigma), r, t, p, alpha)
 
 
-def _test(x: np.ndarray, lam: float) -> tuple[int, float, float, np.ndarray, float, float]:
+def _test(
+    x: np.ndarray, lam: float, overwrite: bool = False
+) -> tuple[int, float, float, np.ndarray, float, float]:
     """:func:`run_test` at a checked ``lam``, without its report: ``(n, mu, sigma, r, T, p)``.
 
     ``x`` is finite float data (:func:`_reals`).  A study checks its arguments
     once and calls this on each replicate's draws, which ``apd.sample`` checked.
+    ``overwrite`` hands ``x``, a contiguous float64 array, over: at lam in
+    {1, 2} a one-leaf fit writes ``x - mu`` over it and scores there
+    (:func:`_locate`), so the test holds two arrays of n values, not three.
+    Only a study sets it, on draws that nothing reads after; the public
+    functions never do.
     """
     x, lo, hi = _as_clean_data(x)
-    mu, sigma, d, adl = _fit(x, lo, hi, lam)
+    mu, sigma, d, adl = _fit(x, lo, hi, lam, overwrite)
     r = _mean_shape_score(x, d, adl, mu, sigma, lam, fitted=True)
     t = _t_stat(r, x.size, lam)
     return x.size, mu, sigma, r, t, chi2_sf(t)

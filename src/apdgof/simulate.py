@@ -216,15 +216,16 @@ def _replicate_block(
     against the null with tail exponent ``lam`` as
     :func:`apdgof.score.run_test` would, without checking ``lam`` again or
     building its report; a degenerate replicate gives NaN in both arrays.
+    The draws are handed over to the test, which may fit in their buffer
+    (at lam in {1, 2} it holds them and one more array of n values), and
+    are released when it returns, before the next replicate draws.
     Top-level function so process pools can pickle it.
     """
     t = np.full(len(indices), math.nan)
     p = np.full(len(indices), math.nan)
     for k, r in enumerate(indices):
-        rng = replicate_rng(seed, r)
-        data = apd.sample(params, n, rng)
         try:
-            t[k], p[k] = _test(data, lam)[-2:]
+            t[k], p[k] = _test(apd.sample(params, n, replicate_rng(seed, r)), lam, overwrite=True)[-2:]
         except DegenerateSampleError:
             continue
     return t, p

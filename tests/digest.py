@@ -20,7 +20,8 @@ warning the case raised.  The cases:
 - ``apd.sample`` draws, by sha256, at tail exponents whose ``1/theta2``
   covers every fast path of ``**`` (0.5, 1, 2) and ``np.power``;
 - the sha256 of the JSON of size studies at lam = 3 and power studies at
-  lam = 2, at seeds 1 to 3;
+  lam = 2, at seeds 1 to 3, and of size studies at lam = 1 there, at
+  that n and at an odd n (201), whose replicates fit in their own draws;
 - the noncentral chi-square law: ``noncentral_chi2_sf`` on a grid of ncp
   and x up to 1e4 and at the edges of its domain (windows apart, either
   side of the numpy sum's end at ncp ~ 143, where ``chndtr`` has no value,
@@ -224,6 +225,9 @@ def digest(quick: bool = False) -> list[str]:
         power = simulate.StudyConfig(2.0, n, 100, seed, delta=(0.5, 0.3))
         lines.append(_line(f"size study lam=3 n={n} seed={seed}", lambda: _study(null)))
         lines.append(_line(f"power study lam=2 n={n} seed={seed}", lambda: _study(power)))
+        for m in (n, 201):  # the median of an even and of an odd n
+            laplace = simulate.StudyConfig(1.0, m, 100, seed, alpha_grid=NULL_GRID)
+            lines.append(_line(f"size study lam=1 n={m} seed={seed}", lambda: _study(laplace)))
     return lines + _laws(quick) + _parses(quick)
 
 

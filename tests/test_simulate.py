@@ -261,9 +261,8 @@ class TestReplicateBlock:
 
     @pytest.mark.parametrize("lam", [2.0, 3.0])
     def test_working_memory_is_three_arrays(self, lam):
-        # The fit's x, d and p at most: the second replicate draws while the
-        # first one's draws are still held, in two arrays.  The sampler's
-        # temporaries made that four.
+        # The fit's x, d and p at most (at lam = 2 two of them, see below).
+        # The sampler's temporaries made that four.
         from apdgof.simulate import _replicate_block
 
         n = 2000
@@ -276,6 +275,24 @@ class TestReplicateBlock:
         finally:
             tracemalloc.stop()
         assert peak <= 3.3 * 8 * n
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_working_memory_is_two_arrays_at_closed_form_nulls(self, lam):
+        # The draws are handed over: the fit writes x - mu over them and
+        # allocates only p, and they are released before the next replicate
+        # draws.  At lam = 1 np.median's copy of x comes and goes before p.
+        from apdgof.simulate import _replicate_block
+
+        n = 2000
+        params = apd.ApdParams(0.5, lam)
+        _replicate_block(params, lam, n, 5, range(1))  # first-call set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            _replicate_block(params, lam, n, 5, range(1, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * 8 * n
 
     def test_lambda_is_checked_once_per_study(self, monkeypatch):
         from apdgof import score, simulate
