@@ -220,9 +220,16 @@ def from_sepd(sp: SepdParams) -> ApdParams:
     """Convert skewed-exponential-power parameters to the APD parametrization.
 
     The two densities agree pointwise: ``pdf(x, from_sepd(sp))`` equals the
-    SEPD density at ``x`` for every ``x``.
+    SEPD density at ``x`` for every ``x``.  A ``gamma`` whose ``theta1 =
+    1 / (1 + gamma^2)`` rounds to 1 or to 0 (below about 1.05e-8, above
+    about 1.34e154) is a :class:`DomainError`.
     """
-    theta1 = 1.0 / (1.0 + sp.gamma**2)
+    try:
+        theta1 = 1.0 / (1.0 + sp.gamma**2)
+    except OverflowError:  # gamma^2 past the double range
+        theta1 = 0.0
+    if not 0.0 < theta1 < 1.0:
+        raise DomainError(f"the SEPD skewness gamma = {sp.gamma!r} maps to theta1 = {theta1!r}, outside (0, 1)")
     theta2 = sp.q
     sigma = _root_delta(theta1, theta2) * (sp.gamma + 1.0 / sp.gamma) * sp.s
     return ApdParams(theta1=theta1, theta2=theta2, mu=sp.m, sigma=sigma)

@@ -173,7 +173,7 @@ def _halves(n: int) -> tuple[int, int]:
 # Cached: the spans of one level of the tree take two or three sizes.
 @functools.lru_cache(maxsize=256)
 def _largest_leaf(n: int) -> int:
-    """The most values a leaf of :func:`_leaf_sums` holds, searched over the whole tree: ``n`` for one leaf.
+    """The most values a leaf of :func:`_walk` holds, searched over the whole tree: ``n`` for one leaf.
 
     The left half can be a leaf of exactly :data:`_BLOCK` values while the
     right half splits further: at n = 65,545 the leaves hold 32,768, 16,384
@@ -193,40 +193,42 @@ def _buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(m), np.empty(m)
 
 
-def _leaf_sums(x: np.ndarray, d: np.ndarray, p: np.ndarray, leaf, *args) -> tuple[float, ...]:
-    """The sums ``leaf(v, d, p, *args)`` returns for each leaf ``v`` of ``x``, added up numpy's pairwise tree.
+def _walk(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float, sums, state: dict) -> tuple[float, ...]:
+    """The sums ``sums(d, p)`` returns for the residuals of each leaf of ``x``, added up numpy's pairwise tree.
 
-    numpy's float64 ``add.reduce`` splits a span of more than 128 values at
-    ``h = n//2 - (n//2) % 8`` (:func:`_halves`) and adds the sums of its two
-    halves.  ``x`` is split the same way down to leaves of at most
-    :data:`_BLOCK` values, each summed by ``np.add.reduce``, and the leaf
-    sums are added back up the same tree, so every sum is the double
-    ``np.add.reduce`` over all of ``x`` would give.  ``leaf`` gets the first
-    ``v.size`` values of the buffers ``d`` and ``p``; data of at most
+    A leaf ``v`` has its ``d = v - mu`` and signed power ``p``
+    (:func:`_residuals`) formed in the error ``state``, in the first
+    ``v.size`` values of the buffers.  numpy's float64 ``add.reduce`` splits
+    a span of more than 128 values at ``h = n//2 - (n//2) % 8``
+    (:func:`_halves`) and adds the sums of its two halves.  ``x`` is split
+    the same way down to leaves of at most :data:`_BLOCK` values, and the
+    leaf sums are added back up the same tree, so every sum is the double
+    ``np.add.reduce`` over all of ``x`` would give; data of at most
     ``_BLOCK`` values are one leaf.
     """
     n = x.size
-    if n <= _BLOCK:
-        return leaf(x, d[:n], p[:n], *args)
-    h = _halves(n)[0]
-    left = _leaf_sums(x[:h], d, p, leaf, *args)
-    return tuple(a + b for a, b in zip(left, _leaf_sums(x[h:], d, p, leaf, *args)))
+    if n > _BLOCK:
+        h = _halves(n)[0]
+        left = _walk(x[:h], d, p, mu, lam, sums, state)
+        return tuple(a + b for a, b in zip(left, _walk(x[h:], d, p, mu, lam, sums, state)))
+    with np.errstate(**state):
+        d, p = _residuals(x, mu, lam, d[:n], p[:n])
+    return sums(d, p)
 
 
-def _slope_sums(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float) -> tuple[float, float]:
-    """``s = sum p`` and ``sum p / d`` at ``mu``, for the signed power ``p`` of :func:`_residuals`.
-
-    ``p / d`` is written over ``d``: a signed ``p / d`` is ``|p| / |d|`` bit
-    for bit, and 0/0 is still NaN.
-    """
-    _residuals(x, mu, lam, d, p)
-    return float(np.add.reduce(p)), float(np.add.reduce(np.divide(p, d, out=d)))
-
-
-def _signed_sum(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float) -> tuple[float]:
-    """``s = sum p`` at ``mu`` alone, for a pass that may close before it needs s'."""
-    _residuals(x, mu, lam, d, p)
+def _signed_sum(d: np.ndarray, p: np.ndarray) -> tuple[float]:
+    """``(s,)``, ``s = sum p`` for the signed power ``p``: the location score at ``mu``."""
     return (float(np.add.reduce(p)),)
+
+
+def _ratio_sum(d: np.ndarray, p: np.ndarray) -> tuple[float]:
+    """``(sum p / d,)``, s' / (lam - 1) at ``mu``: ``p / d``, written over ``d``, is ``|p| / |d|`` bit for bit."""
+    return (float(np.add.reduce(np.divide(p, d, out=d))),)
+
+
+def _slope_sums(d: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """:func:`_signed_sum` and :func:`_ratio_sum`, for a pass that needs both."""
+    return _signed_sum(d, p) + _ratio_sum(d, p)
 
 
 def _fit_state(lam: float) -> dict:
@@ -239,10 +241,8 @@ def _fit_state(lam: float) -> dict:
     return {} if lam == 1.0 or lam == 2.0 else _SOLVE_STATE
 
 
-def _power_sum(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float, state: dict) -> tuple[float]:
-    """``sum |x - mu|^lam``, the signed power formed in the error ``state``, times ``d`` in ``p``'s buffer."""
-    with np.errstate(**state):
-        d, p = _residuals(x, mu, lam, d, p)
+def _power_sum(d: np.ndarray, p: np.ndarray) -> tuple[float]:
+    """``(sum |d|^lam,)``, ``|d|^lam`` the signed power ``p`` times ``d``, formed in ``p``'s buffer."""
     return (float(np.add.reduce(np.multiply(p, d, out=p))),)
 
 
@@ -329,30 +329,26 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
 
     Returns ``(mu, d, p)``, the two buffers of :func:`_buffers`, allocated
     once for every lam and n.  When ``x`` is one leaf (n <= _BLOCK, every
-    study), they hold ``d = x - mu`` and sign(d) |d|^(lam-1) at the returned
-    ``mu``; past one leaf they are scratch for the walks that follow.  The
-    one exception: with ``overwrite`` (a sample handed over, which nothing
-    reads after the fit), a one-leaf fit at lam in {1, 2}, which reads ``x``
-    no more once ``mu`` is known, writes ``d`` over ``x`` and allocates only
-    ``p``.  Every other fit rereads ``x`` on each pass or walk.  Each
-    pass writes ``d`` and the signed power ``p`` (:func:`_residuals`; at lam
-    = 3 the one multiply ``|d| d``), takes s from ``p`` and s' from ``p``
-    over ``d`` (:func:`_slope_sums`).  A pass ends the solve before that
-    divide when s = 0 or when the sign of s leaves no double strictly inside
-    the bracket, where every step would land on an end and stop; when it
-    leaves one double inside, every step lands on that double, and the pass
-    moves there without s'.  Out of passes, and for lam in {1, 2}, both are
-    formed at ``mu``.  Past one leaf, a pass walks the leaves of
-    :func:`_leaf_sums` and forms s and s' leaf by leaf in the two buffers,
-    added up numpy's pairwise tree; a pass at ``mu`` next to a bracket end
-    forms s alone (:func:`_signed_sum`), as it may close, and walks again
-    for s' only if it neither closes nor leaves one double inside.  The
-    solve holds two blocks whatever n is, and s and s' are the doubles a sum
-    over all of ``x`` gives.  Sums are ``np.add.reduce``, the pairwise sum
-    of ``ndarray.sum`` without its Python wrapper.  The lam = 1 location is
-    ``np.median``'s double: on one leaf ``np.median`` itself, past one leaf
-    selected block by block in the two buffers (:func:`_median`), with no
-    copy of the n values.
+    study), they hold ``d = x - mu`` and the signed power ``p``
+    (:func:`_residuals`) at the returned ``mu``; past one leaf they are
+    scratch for the walks (:func:`_walk`) that follow.  The one exception:
+    with ``overwrite`` (a sample handed over, which nothing reads after the
+    fit), a one-leaf fit at lam in {1, 2}, which reads ``x`` no more once
+    ``mu`` is known, writes ``d`` over ``x`` and allocates only ``p``.
+    Every other fit rereads ``x`` on each pass or walk.  Each pass forms
+    the residuals at its ``mu`` and takes s (:func:`_signed_sum`), then s'
+    (:func:`_ratio_sum`).  A pass ends the solve before that divide when
+    s = 0 or when the sign of s leaves no double strictly inside the
+    bracket, where every step would land on an end and stop; when it leaves
+    one double inside, every step lands on that double, and the pass moves
+    there without s'.  Out of passes, and for lam in {1, 2}, the residuals
+    are formed at ``mu``.  Past one leaf, a pass walks the leaves for s and
+    s' together (:func:`_slope_sums`); a pass at ``mu`` next to a bracket
+    end walks for s alone, as it may close, and walks again for s' only if
+    it neither closes nor leaves one double inside.  The lam = 1 location
+    is ``np.median``'s double: on one leaf ``np.median`` itself, past one
+    leaf selected block by block in the two buffers (:func:`_median`), with
+    no copy of the n values.
     """
     one = x.size <= _BLOCK
     if lam == 1.0 and not one:
@@ -378,12 +374,11 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
     with np.errstate(**_SOLVE_STATE):
         for _ in range(_ROOT_MAX_ITER):
             if one:
-                _residuals(x, mu, lam, d, p)
-                s = float(np.add.reduce(p))
+                (s,) = _signed_sum(*_residuals(x, mu, lam, d, p))
             elif math.nextafter(lo, hi) < mu < math.nextafter(hi, lo):
-                s, sp = _leaf_sums(x, d, p, _slope_sums, mu, lam)
+                s, sp = _walk(x, d, p, mu, lam, _slope_sums, _SOLVE_STATE)
             else:  # a pass at mu next to a bracket end may close, and then needs no s'
-                (s,), sp = _leaf_sums(x, d, p, _signed_sum, mu, lam), None
+                (s,), sp = _walk(x, d, p, mu, lam, _signed_sum, _SOLVE_STATE), None
             if s > 0.0:
                 lo = mu
             elif s < 0.0:
@@ -397,11 +392,11 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
                 dx, mu = inside - mu, inside
                 continue
             if one:
-                sp = float(np.add.reduce(np.divide(p, d, out=d)))
+                (sp,) = _ratio_sum(d, p)
             elif sp is None:
-                sp = _leaf_sums(x, d, p, _slope_sums, mu, lam)[1]
+                sp = _walk(x, d, p, mu, lam, _slope_sums, _SOLVE_STATE)[1]
             ds = (lam - 1.0) * sp
-            h = s / ds if math.isfinite(ds) and ds > 0.0 else math.nan
+            h = s / ds if 0.0 < ds < math.inf else math.nan
             if 2.0 * abs(h) > abs(dx):
                 h *= 2.0
             step = mu + h
@@ -419,18 +414,16 @@ def _fit(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = Fals
     """Null MLE ``mu``, ``sigma`` on ``x`` (extremes ``lo``, ``hi``), with :func:`_locate`'s two buffers.
 
     They are :func:`_buffers`' at every lam and n, but for ``overwrite``'s
-    exception (:func:`_locate`), and the score reads them next.  On one
-    leaf they hold ``d = x - mu`` and ``|d|^lam``, the latter ``p d`` for
-    :func:`_locate`'s signed power ``p``, formed in ``p``'s buffer.  Past
-    one leaf the scale walks the leaves once more (:func:`_power_sum`), and
-    its sum is added up numpy's pairwise tree, the double of a sum over all
-    of ``|d|^lam``.
+    exception (:func:`_locate`), and the score reads them next.  The scale
+    sums ``|d|^lam`` (:func:`_power_sum`): on one leaf over the residuals
+    the solve left, after which the buffers hold ``d = x - mu`` and
+    ``|d|^lam``; past one leaf in one more walk (:func:`_walk`).
     """
     mu, d, p = _locate(x, lo, hi, lam, overwrite)
     if x.size <= _BLOCK:
-        total = float(np.add.reduce(np.multiply(p, d, out=p)))
+        (total,) = _power_sum(d, p)
     else:
-        (total,) = _leaf_sums(x, d, p, _power_sum, mu, lam, _fit_state(lam))
+        (total,) = _walk(x, d, p, mu, lam, _power_sum, _fit_state(lam))
     sigma = (0.5 * lam * total / x.size) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")
@@ -485,29 +478,23 @@ def _shape_sums(d: np.ndarray, adl: np.ndarray, sigma: float, lam: float) -> tup
     return s1, float(np.add.reduce(wlog))
 
 
-def _score_sums(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float, sigma: float, state: dict):
-    """:func:`_shape_sums` at ``y = (x - mu) / sigma``, the signed power formed in the error ``state``."""
-    with np.errstate(**state):
-        d, p = _residuals(x, mu, lam, d, p)
-    return _shape_sums(d, np.multiply(p, d, out=p), sigma, lam)
-
-
 def _mean_shape_score(x, d, p, mu: float, sigma: float, lam: float, fitted: bool = False) -> np.ndarray:
     """Mean shape score (rows 0-1 of :func:`stacked_scores`) at ``y = (x - mu) / sigma``.
 
-    Summed leaf by leaf (:func:`_leaf_sums`, :func:`_score_sums`) in the two
-    buffers ``d`` and ``p``, the sums added up numpy's pairwise tree.
-    ``fitted``: ``mu`` and ``sigma`` are :func:`_fit`'s on ``x``, and ``d``
-    and ``p`` its buffers.  On one leaf they hold ``x - mu`` and
-    ``|x - mu|^lam``, which are scored as they are; past one leaf they are
-    formed again in the error state the fit formed them in.  Sums that are
-    not finite, e.g. where ``sigma`` is subnormal and ``sigma^-lam``
-    overflows, raise :class:`DomainError`, naming ``sigma`` and ``lam``.
+    :func:`_shape_sums` of ``d`` and ``|d|^lam = p d``, in the two buffers
+    ``d`` and ``p`` (:func:`_walk`).  ``fitted``: ``mu`` and ``sigma`` are
+    :func:`_fit`'s on ``x``, and ``d`` and ``p`` its buffers.  On one leaf
+    they hold ``x - mu`` and ``|x - mu|^lam``, which are scored as they are;
+    past one leaf they are formed again in the error state the fit formed
+    them in.  Sums that are not finite, e.g. where ``sigma`` is subnormal
+    and ``sigma^-lam`` overflows, raise :class:`DomainError`, naming
+    ``sigma`` and ``lam``.
     """
     if fitted and x.size <= _BLOCK:
         s1, s2 = _shape_sums(d, p, sigma, lam)
     else:
-        s1, s2 = _leaf_sums(x, d, p, _score_sums, mu, lam, sigma, _fit_state(lam) if fitted else {})
+        state = _fit_state(lam) if fitted else {}
+        s1, s2 = _walk(x, d, p, mu, lam, lambda d, p: _shape_sums(d, np.multiply(p, d, out=p), sigma, lam), state)
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise DomainError(f"the shape score is not finite at the scale sigma = {sigma!r} for lam = {lam!r}")
     return np.array([-lam * s1 / x.size, -0.5 * (s2 / x.size - 2.0 / lam**2 * _nu(lam))])

@@ -379,3 +379,13 @@ class TestSepdEquivalence:
             p = from_sepd(sp)
             x = np.linspace(sp.m - 5 * sp.s, sp.m + 5 * sp.s, 50)
             assert_allclose(pdf(x, p), sepd_pdf(x, sp), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma, theta1", [(1e-8, 1.0), (1e-200, 1.0), (1.4e154, 0.0), (1e200, 0.0)])
+    def test_extreme_skewness_is_a_domain_error(self, gamma, theta1):
+        # 1 + gamma^2 rounded to 1, and log1p(-1) raised "math domain error"; past
+        # 1.34e154, gamma**2 raised OverflowError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                from_sepd(SepdParams(gamma, 2.0))
+        assert str(err.value) == f"the SEPD skewness gamma = {gamma!r} maps to theta1 = {theta1!r}, outside (0, 1)"

@@ -1,7 +1,10 @@
 """Tests for the probability-kernel layer and the special functions it uses.
 
 High-precision reference values come from mpmath at 50 digits.  The gamma
-family is checked through the ``scipy.special`` functions the package calls.
+family is checked through the functions the package calls: ``score``'s own
+psi and psi' (``score._digamma``, ``score._trigamma``), and the
+``scipy.special`` log-gamma and incomplete gamma of ``apd.cdf`` and
+``apd.quantile``.
 The noncentral chi-square survival function, a numpy kernel that sums
 Poisson pairs up to ncp ~ 143 and takes ``scipy.special.chndtr``'s value
 near a larger ncp (``numerics._chi2_cdf``), is checked against a 40-digit
@@ -34,14 +37,12 @@ mp.mp.dps = 50
 
 RECURRENCE_POINTS = [0.1, 0.5, 1.0, 3.7, 10.0]
 
-# The scipy.special gamma-family functions that apd and score call.
+# The gamma-family functions the package calls: score's psi and psi', and
+# the scipy.special ones of apd.cdf and apd.quantile.
 log_gamma = sc.gammaln
-digamma = sc.digamma
+digamma = score._digamma
+trigamma = score._trigamma
 reg_lower_inc_gamma = sc.gammainc
-
-
-def trigamma(x):
-    return sc.polygamma(1, x)
 
 
 # Poisson tail mass left unaccounted for when the mixture series is truncated.

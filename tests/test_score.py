@@ -502,12 +502,13 @@ class TestLeafSums:
         x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
         d, p = score_mod._buffers(n)
 
-        def leaf(v, dv, pv):
-            assert dv.size == pv.size == v.size <= self.B
-            np.multiply(v, -3.0, out=pv)
-            return float(np.add.reduce(v)), float(np.add.reduce(pv))
+        def sums(dv, pv):
+            # At mu = 0 and lam = 2 the residuals d are the leaf's values, and p is a copy of them.
+            assert dv.size == pv.size <= self.B
+            return float(np.add.reduce(dv)), float(np.add.reduce(np.multiply(pv, -3.0, out=pv)))
 
-        assert score_mod._leaf_sums(x, d, p, leaf) == (float(np.add.reduce(x)), float(np.add.reduce(-3.0 * x)))
+        walked = score_mod._walk(x, d, p, 0.0, 2.0, sums, {})
+        assert walked == (float(np.add.reduce(x)), float(np.add.reduce(-3.0 * x)))
 
     @pytest.mark.parametrize("n", [B, B + 1, 2 * B + 9, 100_000, 300_001, 1_000_000])
     def test_buffers_hold_the_largest_leaf(self, n):
@@ -516,12 +517,12 @@ class TestLeafSums:
         # half alone is too small for its first leaf.
         sizes = []
 
-        def leaf(v, dv, pv):
-            sizes.append(v.size)
+        def sums(dv, pv):
+            sizes.append(dv.size)
             return ()
 
         d, p = score_mod._buffers(n)
-        score_mod._leaf_sums(np.zeros(n), d, p, leaf)
+        score_mod._walk(np.zeros(n), d, p, 0.0, 2.0, sums, {})
         assert d.size == p.size == max(sizes)
 
 
@@ -623,26 +624,28 @@ class TestLocateWork:
     """Past one leaf, the location solve forms s' only on the passes whose step needs it."""
 
     # seed: leaf walks of the solve on 1e5 values at lam = 3 (4 leaves a
-    # pass), and those that form s alone.  The closing pass forms s alone,
-    # and so does a pass next to a bracket end that leaves one double inside;
-    # a full Newton step on every pass, as in reference_fit, lands on the
-    # same location.
+    # pass), and those that form s alone.  Every leaf of a solve walk takes
+    # s, and a leaf that forms s' too takes it after s.  The closing pass
+    # forms s alone, and so does a pass next to a bracket end that leaves one
+    # double inside; a full Newton step on every pass, as in reference_fit,
+    # lands on the same location.
     @pytest.mark.parametrize("seed, walks, s_only", [(0, 40, 4), (1, 44, 8), (3, 32, 8)])
     def test_passes_that_need_no_slope_do_not_divide(self, monkeypatch, seed, walks, s_only):
         x = apd.sample(apd.ApdParams(0.5, 3.0), 100_000, np.random.default_rng(seed))
         slopes = []
 
-        def counted(leaf, slope):
-            def walk(v, d, p, mu, lam):
+        def counted(sums, slope):
+            def leaf(d, p):
                 slopes.append(slope)
-                return leaf(v, d, p, mu, lam)
+                return sums(d, p)
 
-            return walk
+            return leaf
 
-        monkeypatch.setattr(score_mod, "_slope_sums", counted(score_mod._slope_sums, True))
         monkeypatch.setattr(score_mod, "_signed_sum", counted(score_mod._signed_sum, False))
+        monkeypatch.setattr(score_mod, "_ratio_sum", counted(score_mod._ratio_sum, True))
         assert fit_null_mle(x, 3.0).mu == reference_fit(x, 3.0).mu
-        assert (len(slopes), slopes.count(False)) == (walks, s_only)
+        s, sp = slopes.count(False), slopes.count(True)
+        assert (s, s - sp) == (walks, s_only)
 
 
 class TestModifiedScore:
