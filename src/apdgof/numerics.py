@@ -103,8 +103,7 @@ def _check_fields(obj, names: tuple[str, ...], positive: tuple[str, ...] = ()) -
         x = _real(v, name)
         if name in positive and not x > 0.0:
             raise DomainError(f"{name} must be positive, got {v!r}")
-        if type(v) is not float:  # skipped for a float: a LocationScale is built per replicate
-            object.__setattr__(obj, name, x)
+        object.__setattr__(obj, name, x)
 
 
 def _shown(value) -> str:
@@ -162,7 +161,7 @@ def chi2_sf(x: float) -> float:
 
 
 def chi2_quantile(p: float) -> float:
-    """Quantile of the chi-square(2) law: ``chi2_sf(-2 log(1 - p)) == 1 - p``."""
+    """Quantile of the chi-square(2) law: ``chi2_sf(-2 log(1 - p)) == 1 - p`` to rounding."""
     if not 0.0 < (p := _real(p, "p")) < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
     return -2.0 * math.log1p(-p)

@@ -23,7 +23,6 @@ from .numerics import (
     _power,
     _real,
     _reals,
-    chi2_quantile,
     chi2_sf,
     noncentral_chi2_sf,
 )
@@ -47,8 +46,6 @@ _ROOT_MAX_ITER = 200
 # Values in a block of a large sample: three float64 blocks fit a 2 MiB per-core L2.
 _BLOCK = 2**15
 # Values a walk of the lam = 1 median selection compares at a time: a chunk's gather copies at most 32 KiB.
-# Its two masks of _CHUNK bools are written over the buffer p, whose largest leaf past one block holds
-# more than _BLOCK / 2 values, so _BLOCK must be at least _CHUNK / 2; below that the masks can outgrow p.
 _CHUNK = 2**12
 # The location solve's floating-point error state: s' is 0/0 on a data point,
 # and a power may overflow; either way the pass bisects.
@@ -75,7 +72,7 @@ class TestReport:
 
     n: int
     lam: float
-    loc_scale: LocationScale
+    loc_scale: LocationScale | None
     score: np.ndarray
     t_stat: float
     p_value: float
@@ -246,20 +243,20 @@ def _power_sum(d: np.ndarray, p: np.ndarray) -> tuple[float]:
     return (float(np.add.reduce(np.multiply(p, d, out=p))),)
 
 
-def _gather(x: np.ndarray, a: float, b: float, d: np.ndarray, masks: np.ndarray) -> tuple[int, int, int]:
+def _gather(x: np.ndarray, a: float, b: float, d: np.ndarray) -> tuple[int, int, int]:
     """``(below, within, kept)``: the counts of ``x < a`` and of ``a <= x <= b``, and of the latter copied into ``d``.
 
-    ``x`` is walked in chunks of :data:`_CHUNK` values, their two masks
-    written into ``masks``; a chunk's values in ``[a, b]`` are copied into
-    ``d``, after those before them, while they fit, so ``d[:kept]`` holds
-    all of them when ``kept == within``.
+    ``x`` is walked in chunks of :data:`_CHUNK` values, each with its two
+    masks; a chunk's values in ``[a, b]`` are copied into ``d``, after those
+    before them, while they fit, so ``d[:kept]`` holds all of them when
+    ``kept == within``.
     """
     below = within = kept = 0
     for i in range(0, x.size, _CHUNK):
         v = x[i : i + _CHUNK]
-        lt, le = masks[: v.size], masks[_CHUNK : _CHUNK + v.size]
-        n_lt = np.count_nonzero(np.less(v, a, out=lt))
-        c = np.count_nonzero(np.less_equal(v, b, out=le)) - n_lt
+        lt, le = np.less(v, a), np.less_equal(v, b)
+        n_lt = np.count_nonzero(lt)
+        c = np.count_nonzero(le) - n_lt
         below, within = below + n_lt, within + c
         if c and kept + c <= d.size:
             d[kept : kept + c] = v[np.not_equal(le, lt, out=le)]
@@ -267,24 +264,23 @@ def _gather(x: np.ndarray, a: float, b: float, d: np.ndarray, masks: np.ndarray)
     return below, within, kept
 
 
-def _median(x: np.ndarray, lo: float, hi: float, d: np.ndarray, p: np.ndarray) -> float:
-    """``np.median(x)``'s double for ``x`` past one leaf (extremes ``lo``, ``hi``), selected in the buffers ``d`` and ``p``.
+def _median(x: np.ndarray, lo: float, hi: float, d: np.ndarray) -> float:
+    """``np.median(x)``'s double for ``x`` past one leaf (extremes ``lo``, ``hi``), selected in the buffer ``d``.
 
     A bracket ``[lo, hi]`` holds the central ranks ``(n-1)//2`` and ``n//2``.
     While it holds more values than ``d``, a round selects two pivots about
     those ranks from a strided sample of its values, counts the values
-    below and between them (:func:`_gather`, the masks written over ``p``)
-    and narrows the bracket to the part that holds the ranks.  The values of
-    a bracket that fits ``d`` are gathered there (a bracket of one value
-    needs none), and the centre is ``np.mean`` over the one or two selected,
-    as in ``np.median``: the same double and the same overflow warning.  A
-    round that cannot shrink the bracket (heavy ties about the centre, an
-    adversarial order) and a zero at the centre, whose sign could depend on
-    which zero ``np.median``'s partition puts there, take ``np.median``.
+    below and between them (:func:`_gather`) and narrows the bracket to the
+    part that holds the ranks.  The values of a bracket that fits ``d`` are
+    gathered there (a bracket of one value needs none), and the centre is
+    ``np.mean`` over the one or two selected, as in ``np.median``: the same
+    double and the same overflow warning.  A round that cannot shrink the
+    bracket (heavy ties about the centre, an adversarial order) and a zero
+    at the centre, whose sign could depend on which zero ``np.median``'s
+    partition puts there, take ``np.median``.
     """
     n = x.size
     r0, r1 = (n - 1) // 2, n // 2
-    masks = p.view(np.bool_)
     below, within = 0, n  # the values under the bracket and in it
     while True:
         a, b = lo, hi
@@ -293,7 +289,7 @@ def _median(x: np.ndarray, lo: float, hi: float, d: np.ndarray, p: np.ndarray) -
             # gather, least at t = (2 within)^(2/3); t is kept large enough that those fit half of d.
             # An odd stride meets every place of a period of 2, 4, 8, ... values.
             t = min(d.size, max(int((2 * within) ** (2 / 3)), (8 * within // d.size) ** 2))
-            k = _gather(x[:: -(-within // t) | 1], lo, hi, d, masks)[2]
+            k = _gather(x[:: -(-within // t) | 1], lo, hi, d)[2]
             if not k:
                 return float(np.median(x))
             # Pivots about 4 standard deviations of a sample rank beyond the central ranks' places in the sample.
@@ -303,7 +299,7 @@ def _median(x: np.ndarray, lo: float, hi: float, d: np.ndarray, p: np.ndarray) -
             sample = d[:k]
             sample.partition([i0, i1])
             a, b = float(sample[i0]), float(sample[i1])
-        na, nw, kept = _gather(x, a, b, d, masks)
+        na, nw, kept = _gather(x, a, b, d)
         if na <= r0 and r1 < na + nw and (kept == nw or a == b):
             break
         # The bracket's values under a, in [a, b] and above b: keep the parts that hold the ranks.
@@ -347,13 +343,13 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
     end walks for s alone, as it may close, and walks again for s' only if
     it neither closes nor leaves one double inside.  The lam = 1 location
     is ``np.median``'s double: on one leaf ``np.median`` itself, past one
-    leaf selected block by block in the two buffers (:func:`_median`), with
-    no copy of the n values.
+    leaf selected block by block in the buffer ``d`` (:func:`_median`),
+    with no copy of the n values.
     """
     one = x.size <= _BLOCK
     if lam == 1.0 and not one:
         d, p = _buffers(x.size)
-        return _median(x, lo, hi, d, p), d, p
+        return _median(x, lo, hi, d), d, p
     # Off lam = 1 the mean, the double np.mean gives, is the location or the start point.
     mu = float(np.median(x)) if lam == 1.0 else float(np.add.reduce(x)) / x.size
     if lam == 1.0 or lam == 2.0:
@@ -451,7 +447,7 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     many the data are walked in blocks, those leaves; each sum is added up
     the same tree, so it is the double of a sum over the whole sample.  The
     lam = 1 median is ``np.median``'s double; past one block it is selected
-    in the two buffers too.  ``data`` is never written: only a study's
+    in one of the buffers.  ``data`` is never written: only a study's
     replicate hands its draws over to be overwritten (:func:`_test`).
     """
     lam = check_lambda(lam)
@@ -645,19 +641,13 @@ def _check_delta(delta) -> np.ndarray:
     return np.array([_real(v, "delta") for v in delta])
 
 
-def test_statistic(
-    score: np.ndarray,
-    n: int,
-    lam: float,
-    alpha: float | None = None,
-    fit: LocationScale | None = None,
-) -> TestReport:
+def test_statistic(score: np.ndarray, n: int, lam: float, alpha: float | None = None) -> TestReport:
     """Quadratic-form statistic and p-value from an averaged score vector.
 
     ``T = n (r1^2 / S11 + r2^2 / S22)`` with the diagonal covariance from
     :func:`score_covariance`; the p-value is the chi-square(2) survival
     function at ``T``; with ``alpha`` in (0, 1), the report says whether
-    ``p < alpha``.
+    ``p < alpha``.  The report's ``loc_scale`` is ``None``: no fit is made.
     """
     lam = check_lambda(lam)
     n = _check_count("n", n, 2, DomainError)
@@ -668,7 +658,7 @@ def test_statistic(
         t = _t_stat(r, _real(n, "n"), lam)
     if t == math.inf:
         raise DomainError(f"T overflows for the score {r} at n = {n}")
-    return _report(n, lam, fit, r, t, chi2_sf(t), alpha)
+    return _report(n, lam, None, r, t, chi2_sf(t), alpha)
 
 
 def _report(n: int, lam: float, fit, r: np.ndarray, t: float, p: float, alpha) -> TestReport:
@@ -702,11 +692,12 @@ def noncentrality(delta, lam: float) -> float:
 def asymptotic_power(delta, lam: float, alpha: float) -> float:
     """Limiting rejection probability under the local alternative ``delta``.
 
-    Noncentral chi-square(2) tail beyond the level-``alpha`` critical value,
-    with noncentrality :func:`noncentrality`; equals ``alpha`` at
-    ``delta = 0``.
+    Noncentral chi-square(2) tail beyond the level-``alpha`` critical value
+    ``-2 log(alpha)``, with noncentrality :func:`noncentrality`.  At
+    ``delta = 0`` it equals ``alpha`` to a relative error of at most
+    ``(1 + |log(alpha)|) 2**-52``, the rounding of ``log(alpha)``.
     """
-    crit = chi2_quantile(1.0 - _check_alpha(alpha))
+    crit = -2.0 * math.log(_check_alpha(alpha))
     return noncentral_chi2_sf(crit, noncentrality(delta, lam))
 
 

@@ -20,13 +20,13 @@ import numpy as np
 
 from . import apd
 from .errors import ConfigError, DegenerateSampleError, DomainError
-from .numerics import _check_count, _check_size, _chi2_cdf, _reals, chi2_quantile, integrate
-from .numerics import noncentral_chi2_sf
+from .numerics import _check_count, _check_size, _chi2_cdf, _reals, integrate
 from .score import (
     LocationScale,
     _check_alpha,
     _check_delta,
     _test,
+    asymptotic_power,
     check_lambda,
     noncentrality,
     stacked_scores,
@@ -268,7 +268,7 @@ def _study(cfg: StudyConfig, workers: int) -> StudyReport:
     rejections = []
     for a in cfg.alpha_grid:
         rate = float(np.count_nonzero(p < a) / m)
-        predicted = noncentral_chi2_sf(chi2_quantile(1.0 - a), ncp) if kind == "power" else None
+        predicted = asymptotic_power(cfg.delta, cfg.lam, a) if kind == "power" else None
         rejections.append(RejectionRate(a, rate, math.sqrt(rate * (1.0 - rate) / m), predicted))
     return StudyReport(
         kind=kind,

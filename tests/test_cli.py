@@ -260,6 +260,17 @@ class TestSimulateCommand:
         assert payload["kind"] == "power"
         assert payload["rejections"][0]["predicted"] is not None
 
+    @pytest.mark.parametrize("alpha", ["1e-14", "1e-17", str(2**-54), "1e-300"])
+    def test_power_study_at_a_small_level(self, capsys, alpha):
+        # From 2**-54 the predicted power raised a DomainError about a p that 1 - alpha rounded to 1.
+        code, out, _ = run_cli(
+            capsys, "simulate", "power", "--lambda", "2", "--n", "16",
+            "--reps", "100", "--seed", "1", "--delta", "0.5,0.3", "--alpha", alpha, "--json",
+        )
+        assert code == EXIT_OK
+        row = json.loads(out)["results"]["rejections"][0]
+        assert row["alpha"] == float(alpha) and 0.0 <= row["predicted"] < 1e-12
+
     def test_malformed_delta(self, capsys):
         code, _, _ = run_cli(
             capsys, "simulate", "power", "--lambda", "2", "--delta", "0.5",

@@ -163,7 +163,7 @@ def reference_sigma(x, lam, mu):
 def reference_test(x, lam, fit):
     """Elementwise shape score at ``(x - mu) / sigma``, averaged, then the statistic."""
     r = stacked_scores((x - fit.mu) / fit.sigma, lam)[:2].mean(axis=1)
-    return score_mod.test_statistic(r, x.size, lam, fit=fit)
+    return score_mod.test_statistic(r, x.size, lam)
 
 
 def assert_close_report(rep, ref):
@@ -566,7 +566,7 @@ class TestMedianSelection:
     @pytest.fixture
     def small_blocks(self, monkeypatch):
         # Blocks of 2**11 values leave buffers of about 1,500 values at n = 1e5, so the
-        # selection takes several rounds; 2**11 is the least _BLOCK that _CHUNK allows.
+        # selection takes several rounds.
         score_mod._largest_leaf.cache_clear()
         monkeypatch.setattr(score_mod, "_BLOCK", 2**11)
         yield
@@ -585,6 +585,15 @@ class TestMedianSelection:
     def test_several_rounds_select_np_median(self, monkeypatch, small_blocks, n, order):
         x = apd.sample(apd.ApdParams(0.5, 1.0), n, np.random.default_rng(6))
         x = x if order is None else order(x)
+        expected = float(np.median(x)).hex()
+        mu, rounds, calls = self.located(monkeypatch, x)
+        assert (mu.hex(), calls) == (expected, 0)
+        assert rounds >= 2
+
+    def test_leaves_smaller_than_a_chunk_select_np_median(self, monkeypatch, small_blocks):
+        # Leaves of fewer than _CHUNK / 2 values: a chunk's masks outgrow the buffers, so they are the gather's own.
+        monkeypatch.setattr(score_mod, "_BLOCK", 2**9)
+        x = apd.sample(apd.ApdParams(0.5, 1.0), 100_000, np.random.default_rng(6))
         expected = float(np.median(x)).hex()
         mu, rounds, calls = self.located(monkeypatch, x)
         assert (mu.hex(), calls) == (expected, 0)
@@ -888,11 +897,12 @@ class TestNoncentralityAndPower:
             noncentrality((1.0, 1.0), 1.0), 4.0 + math.pi**2 / 3 - 3.0, rtol=0, atol=1e-13
         )
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2, 1e-14, 1e-17, 2**-54, 1e-300])
     def test_null_direction_gives_level(self, alpha):
-        assert_allclose(
-            asymptotic_power((0.0, 0.0), 2.0, alpha), alpha, rtol=0, atol=1e-12
-        )
+        # The critical value is -2 log(alpha); through chi2_quantile(1 - alpha) it lost alpha's
+        # digits from about 1e-14 and was refused from 2**-54, where 1 - alpha rounds to 1.
+        power = asymptotic_power((0.0, 0.0), 2.0, alpha)
+        assert abs(power - alpha) <= (1.0 + abs(math.log(alpha))) * 2.0**-52 * alpha
 
     def test_monotone_in_magnitude(self):
         scales = np.linspace(0.0, 4.0, 15)

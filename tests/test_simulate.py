@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from apdgof import apd
 from apdgof.errors import ConfigError, DomainError
 from apdgof.numerics import _chi2_cdf
-from apdgof.score import LocationScale, fisher_information
+from apdgof.score import LocationScale, asymptotic_power, fisher_information
 from apdgof.simulate import (
     StudyConfig,
     ks_distance,
@@ -319,6 +319,13 @@ class TestLocalAlternativeStudy:
         assert alt_report.rejections[0].rate == null_report.rejections[0].rate
         assert alt_report.ks_stat == null_report.ks_stat
         assert alt_report.rejections[0].predicted == pytest.approx(0.05, abs=1e-12)
+
+    def test_small_level_predicts_its_power(self):
+        # A level below 2**-54 was refused: its critical value was taken at 1 - alpha, which rounds to 1.
+        delta = (0.5, 0.3)
+        cfg = StudyConfig(lam=2.0, n=100, reps=100, seed=3, alpha_grid=(1e-20, 0.05), delta=delta)
+        report = run_local_alternative_study(cfg)
+        assert [r.predicted for r in report.rejections] == [asymptotic_power(delta, 2.0, a) for a in cfg.alpha_grid]
 
     def test_worker_count_invariance(self):
         cfg = StudyConfig(
