@@ -29,7 +29,6 @@ from .errors import AccuracyError, DomainError
 
 __all__ = [
     "chi2_sf",
-    "chi2_quantile",
     "noncentral_chi2_sf",
     "gamma_sample",
     "integrate",
@@ -158,13 +157,6 @@ def chi2_sf(x: float) -> float:
     if not (x := _real(x, "x")) >= 0.0:
         raise DomainError(f"x must be a nonnegative finite real, got {x}")
     return math.exp(-0.5 * x)
-
-
-def chi2_quantile(p: float) -> float:
-    """Quantile of the chi-square(2) law: ``chi2_sf(-2 log(1 - p)) == 1 - p`` to rounding."""
-    if not 0.0 < (p := _real(p, "p")) < 1.0:
-        raise DomainError(f"p must lie in (0, 1), got {p}")
-    return -2.0 * math.log1p(-p)
 
 
 def noncentral_chi2_sf(x: float, ncp: float) -> float:

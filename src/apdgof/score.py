@@ -47,9 +47,9 @@ _ROOT_MAX_ITER = 200
 _BLOCK = 2**15
 # Values a walk of the lam = 1 median selection compares at a time: a chunk's gather copies at most 32 KiB.
 _CHUNK = 2**12
-# The location solve's floating-point error state: s' is 0/0 on a data point,
-# and a power may overflow; either way the pass bisects.
-_SOLVE_STATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+# The floating-point error state every residual x - mu and its signed power is formed in, and the
+# location solve runs in: s' is 0/0 on a data point, and a power may overflow; either way the pass bisects.
+_RESIDUAL_STATE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 # B_2k / (2k) and B_2k for k = 1..6: the asymptotic series of psi and psi'.
 _PSI_TERMS = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
 _PSI1_TERMS = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
@@ -167,8 +167,6 @@ def _halves(n: int) -> tuple[int, int]:
     return h, n - h
 
 
-# Cached: the spans of one level of the tree take two or three sizes.
-@functools.lru_cache(maxsize=256)
 def _largest_leaf(n: int) -> int:
     """The most values a leaf of :func:`_walk` holds, searched over the whole tree: ``n`` for one leaf.
 
@@ -190,12 +188,13 @@ def _buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(m), np.empty(m)
 
 
-def _walk(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float, sums, state: dict) -> tuple[float, ...]:
+def _walk(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float, sums) -> tuple[float, ...]:
     """The sums ``sums(d, p)`` returns for the residuals of each leaf of ``x``, added up numpy's pairwise tree.
 
     A leaf ``v`` has its ``d = v - mu`` and signed power ``p``
-    (:func:`_residuals`) formed in the error ``state``, in the first
-    ``v.size`` values of the buffers.  numpy's float64 ``add.reduce`` splits
+    (:func:`_residuals`) formed in :data:`_RESIDUAL_STATE`, as every
+    residual is, in the first ``v.size`` values of the buffers; ``sums``
+    runs in the caller's state.  numpy's float64 ``add.reduce`` splits
     a span of more than 128 values at ``h = n//2 - (n//2) % 8``
     (:func:`_halves`) and adds the sums of its two halves.  ``x`` is split
     the same way down to leaves of at most :data:`_BLOCK` values, and the
@@ -206,9 +205,9 @@ def _walk(x: np.ndarray, d: np.ndarray, p: np.ndarray, mu: float, lam: float, su
     n = x.size
     if n > _BLOCK:
         h = _halves(n)[0]
-        left = _walk(x[:h], d, p, mu, lam, sums, state)
-        return tuple(a + b for a, b in zip(left, _walk(x[h:], d, p, mu, lam, sums, state)))
-    with np.errstate(**state):
+        left = _walk(x[:h], d, p, mu, lam, sums)
+        return tuple(a + b for a, b in zip(left, _walk(x[h:], d, p, mu, lam, sums)))
+    with np.errstate(**_RESIDUAL_STATE):
         d, p = _residuals(x, mu, lam, d[:n], p[:n])
     return sums(d, p)
 
@@ -226,16 +225,6 @@ def _ratio_sum(d: np.ndarray, p: np.ndarray) -> tuple[float]:
 def _slope_sums(d: np.ndarray, p: np.ndarray) -> tuple[float, float]:
     """:func:`_signed_sum` and :func:`_ratio_sum`, for a pass that needs both."""
     return _signed_sum(d, p) + _ratio_sum(d, p)
-
-
-def _fit_state(lam: float) -> dict:
-    """The error state in which one leaf forms the fit's residuals at its ``mu``.
-
-    Off lam in {1, 2} that is the solve's, whose last pass formed them; a
-    walk over many leaves forms them again in it, so it warns where one leaf
-    warns.
-    """
-    return {} if lam == 1.0 or lam == 2.0 else _SOLVE_STATE
 
 
 def _power_sum(d: np.ndarray, p: np.ndarray) -> tuple[float]:
@@ -327,7 +316,8 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
     once for every lam and n.  When ``x`` is one leaf (n <= _BLOCK, every
     study), they hold ``d = x - mu`` and the signed power ``p``
     (:func:`_residuals`) at the returned ``mu``; past one leaf they are
-    scratch for the walks (:func:`_walk`) that follow.  The one exception:
+    scratch for the walks (:func:`_walk`) that follow.  Every residual is
+    formed in :data:`_RESIDUAL_STATE`, at every lam.  The one exception:
     with ``overwrite`` (a sample handed over, which nothing reads after the
     fit), a one-leaf fit at lam in {1, 2}, which reads ``x`` no more once
     ``mu`` is known, writes ``d`` over ``x`` and allocates only ``p``.
@@ -357,7 +347,8 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
             return (mu, *_buffers(x.size))
         # After np.median, whose copy of the leaf is gone by then.
         d, p = (x, np.empty(x.size)) if overwrite else _buffers(x.size)
-        return (mu, *_residuals(x, mu, lam, d, p))
+        with np.errstate(**_RESIDUAL_STATE):
+            return (mu, *_residuals(x, mu, lam, d, p))
     d, p = _buffers(x.size)
     # Full convergence keeps the statistic affine-invariant to ~1e-10 even
     # for shifted data.  s' may overflow for lam near 1.  A step not under
@@ -367,14 +358,14 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
     # instead.
     mu = min(max(mu, lo), hi)
     dx = hi - lo
-    with np.errstate(**_SOLVE_STATE):
+    with np.errstate(**_RESIDUAL_STATE):
         for _ in range(_ROOT_MAX_ITER):
             if one:
                 (s,) = _signed_sum(*_residuals(x, mu, lam, d, p))
             elif math.nextafter(lo, hi) < mu < math.nextafter(hi, lo):
-                s, sp = _walk(x, d, p, mu, lam, _slope_sums, _SOLVE_STATE)
+                s, sp = _walk(x, d, p, mu, lam, _slope_sums)
             else:  # a pass at mu next to a bracket end may close, and then needs no s'
-                (s,), sp = _walk(x, d, p, mu, lam, _signed_sum, _SOLVE_STATE), None
+                (s,), sp = _walk(x, d, p, mu, lam, _signed_sum), None
             if s > 0.0:
                 lo = mu
             elif s < 0.0:
@@ -390,7 +381,7 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
             if one:
                 (sp,) = _ratio_sum(d, p)
             elif sp is None:
-                sp = _walk(x, d, p, mu, lam, _slope_sums, _SOLVE_STATE)[1]
+                sp = _walk(x, d, p, mu, lam, _slope_sums)[1]
             ds = (lam - 1.0) * sp
             h = s / ds if 0.0 < ds < math.inf else math.nan
             if 2.0 * abs(h) > abs(dx):
@@ -401,8 +392,8 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
             elif not lo < step < hi:
                 step = 0.5 * (lo + hi)
             dx, mu = step - mu, step
-    if one:  # out of passes: the last power was formed at the previous mu
-        _residuals(x, mu, lam, d, p)
+        if one:  # out of passes: the last power was formed at the previous mu
+            _residuals(x, mu, lam, d, p)
     return mu, d, p
 
 
@@ -413,13 +404,15 @@ def _fit(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = Fals
     exception (:func:`_locate`), and the score reads them next.  The scale
     sums ``|d|^lam`` (:func:`_power_sum`): on one leaf over the residuals
     the solve left, after which the buffers hold ``d = x - mu`` and
-    ``|d|^lam``; past one leaf in one more walk (:func:`_walk`).
+    ``|d|^lam``; past one leaf in one more walk (:func:`_walk`), whose
+    residuals are formed in :data:`_RESIDUAL_STATE` as the solve's are.  The
+    sum is formed outside it, so it warns where it overflows.
     """
     mu, d, p = _locate(x, lo, hi, lam, overwrite)
     if x.size <= _BLOCK:
         (total,) = _power_sum(d, p)
     else:
-        (total,) = _walk(x, d, p, mu, lam, _power_sum, _fit_state(lam))
+        (total,) = _walk(x, d, p, mu, lam, _power_sum)
     sigma = (0.5 * lam * total / x.size) ** (1.0 / lam)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DegenerateSampleError("fitted scale is not positive")
@@ -447,8 +440,12 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     many the data are walked in blocks, those leaves; each sum is added up
     the same tree, so it is the double of a sum over the whole sample.  The
     lam = 1 median is ``np.median``'s double; past one block it is selected
-    in one of the buffers.  ``data`` is never written: only a study's
-    replicate hands its draws over to be overwritten (:func:`_test`).
+    in one of the buffers.  Every residual ``x_i - mu`` and its power is
+    formed with numpy's floating-point warnings off, at every lam; the
+    scale's sum keeps them, and a scale that is not finite and positive
+    raises :class:`DegenerateSampleError`.  ``data`` is never written: only
+    a study's replicate hands its draws over to be overwritten
+    (:func:`_test`).
     """
     lam = check_lambda(lam)
     mu, sigma = _fit(*_as_clean_data(_reals(data, "data")), lam)[:2]
@@ -481,16 +478,16 @@ def _mean_shape_score(x, d, p, mu: float, sigma: float, lam: float, fitted: bool
     ``d`` and ``p`` (:func:`_walk`).  ``fitted``: ``mu`` and ``sigma`` are
     :func:`_fit`'s on ``x``, and ``d`` and ``p`` its buffers.  On one leaf
     they hold ``x - mu`` and ``|x - mu|^lam``, which are scored as they are;
-    past one leaf they are formed again in the error state the fit formed
-    them in.  Sums that are not finite, e.g. where ``sigma`` is subnormal
+    past one leaf, or unfitted, the residuals are formed in
+    :data:`_RESIDUAL_STATE`, as every residual is, and the sums outside
+    it.  Sums that are not finite, e.g. where ``sigma`` is subnormal
     and ``sigma^-lam`` overflows, raise :class:`DomainError`, naming
     ``sigma`` and ``lam``.
     """
     if fitted and x.size <= _BLOCK:
         s1, s2 = _shape_sums(d, p, sigma, lam)
     else:
-        state = _fit_state(lam) if fitted else {}
-        s1, s2 = _walk(x, d, p, mu, lam, lambda d, p: _shape_sums(d, np.multiply(p, d, out=p), sigma, lam), state)
+        s1, s2 = _walk(x, d, p, mu, lam, lambda d, p: _shape_sums(d, np.multiply(p, d, out=p), sigma, lam))
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise DomainError(f"the shape score is not finite at the scale sigma = {sigma!r} for lam = {lam!r}")
     return np.array([-lam * s1 / x.size, -0.5 * (s2 / x.size - 2.0 / lam**2 * _nu(lam))])

@@ -62,7 +62,6 @@ ARGS = {
     "test_statistic.n": (lambda v: score.test_statistic([0.1, 0.0], v, 2.0), DomainError, DomainError),
     "sample.n": (lambda v: apd.sample(apd.ApdParams(0.5, 2.0), v, _rng()), DomainError, MemoryError),
     "chi2_sf.x": (numerics.chi2_sf, DomainError, DomainError),
-    "chi2_quantile.p": (numerics.chi2_quantile, DomainError, DomainError),
     "noncentral_chi2_sf.x": (lambda v: numerics.noncentral_chi2_sf(v, 1.0), DomainError, DomainError),
     "noncentral_chi2_sf.ncp": (lambda v: numerics.noncentral_chi2_sf(1.0, v), DomainError, DomainError),
     "gamma_sample.shape": (lambda v: numerics.gamma_sample(v, _rng()), DomainError, DomainError),

@@ -3,13 +3,13 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import special as sc
 
 from apdgof.apd import ApdParams, cdf, log_pdf, quantile
-from apdgof.numerics import chi2_quantile, chi2_sf
-from apdgof.score import run_test
+from apdgof.numerics import chi2_sf
+from apdgof.score import fit_null_mle, run_test
 
 positive_x = st.floats(min_value=1e-2, max_value=1e3, allow_nan=False)
 lam_values = st.floats(min_value=1.0, max_value=6.0, allow_nan=False)
@@ -29,7 +29,7 @@ def test_gamma_family_recurrences(x):
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_chi2_two_dof_round_trip(p):
-    assert_allclose(chi2_sf(chi2_quantile(p)), 1 - p, rtol=0, atol=1e-12)
+    assert_allclose(chi2_sf(-2.0 * math.log1p(-p)), 1 - p, rtol=0, atol=1e-12)
 
 
 @given(theta1_values, lam_values, st.floats(min_value=0.01, max_value=0.99))
@@ -79,3 +79,23 @@ def test_affine_invariance_of_statistic(seed, lam, log_a, b):
     t0 = run_test(data, lam).t_stat
     t1 = run_test(a * data + b, lam).t_stat
     assert abs(t0 - t1) < 1e-10
+
+
+@given(
+    st.sampled_from([1.0, 1.01, 1.5, 2.0, 3.0, 8.0, 50.0]),
+    st.sampled_from([7, 8, 200, 201, 2000, 40_000]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(1.0, 40_000, 11)  # past one block: the median selection
+@example(1.01, 40_000, 11)  # past one block: the solve's walks, the scale and the score
+@settings(max_examples=60, deadline=None)
+def test_reflection_mirrors_the_fit_and_keeps_the_statistic(lam, n, seed):
+    # x -> -x maps the null to itself, bit for bit: T and p do not move, the fit
+    # mirrors, and the score's first component (odd in the residual) flips sign
+    # while its second (even) does not.
+    x = 3.0 * np.random.default_rng(seed).standard_normal(n) + 1.0
+    rep, mirrored = run_test(x, lam), run_test(-x, lam)
+    assert (mirrored.t_stat.hex(), mirrored.p_value.hex()) == (rep.t_stat.hex(), rep.p_value.hex())
+    assert (mirrored.score[0], mirrored.score[1]) == (-rep.score[0], rep.score[1])
+    fit, mirrored_fit = fit_null_mle(x, lam), fit_null_mle(-x, lam)
+    assert (mirrored_fit.mu, mirrored_fit.sigma.hex()) == (-fit.mu, fit.sigma.hex())

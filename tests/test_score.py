@@ -507,7 +507,7 @@ class TestLeafSums:
             assert dv.size == pv.size <= self.B
             return float(np.add.reduce(dv)), float(np.add.reduce(np.multiply(pv, -3.0, out=pv)))
 
-        walked = score_mod._walk(x, d, p, 0.0, 2.0, sums, {})
+        walked = score_mod._walk(x, d, p, 0.0, 2.0, sums)
         assert walked == (float(np.add.reduce(x)), float(np.add.reduce(-3.0 * x)))
 
     @pytest.mark.parametrize("n", [B, B + 1, 2 * B + 9, 100_000, 300_001, 1_000_000])
@@ -522,7 +522,7 @@ class TestLeafSums:
             return ()
 
         d, p = score_mod._buffers(n)
-        score_mod._walk(np.zeros(n), d, p, 0.0, 2.0, sums, {})
+        score_mod._walk(np.zeros(n), d, p, 0.0, 2.0, sums)
         assert d.size == p.size == max(sizes)
 
 
@@ -567,10 +567,7 @@ class TestMedianSelection:
     def small_blocks(self, monkeypatch):
         # Blocks of 2**11 values leave buffers of about 1,500 values at n = 1e5, so the
         # selection takes several rounds.
-        score_mod._largest_leaf.cache_clear()
         monkeypatch.setattr(score_mod, "_BLOCK", 2**11)
-        yield
-        score_mod._largest_leaf.cache_clear()
 
     @staticmethod
     def located(monkeypatch, x):
@@ -899,8 +896,8 @@ class TestNoncentralityAndPower:
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2, 1e-14, 1e-17, 2**-54, 1e-300])
     def test_null_direction_gives_level(self, alpha):
-        # The critical value is -2 log(alpha); through chi2_quantile(1 - alpha) it lost alpha's
-        # digits from about 1e-14 and was refused from 2**-54, where 1 - alpha rounds to 1.
+        # The critical value is -2 log(alpha); as the quantile -2 log1p(-(1 - alpha)) it lost
+        # alpha's digits from about 1e-14 and was refused from 2**-54, where 1 - alpha rounds to 1.
         power = asymptotic_power((0.0, 0.0), 2.0, alpha)
         assert abs(power - alpha) <= (1.0 + abs(math.log(alpha))) * 2.0**-52 * alpha
 
@@ -1110,7 +1107,7 @@ class TestRunTest:
     @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0])
     def test_many_blocks_warn_where_one_block_warns(self, lam):
         # Past one block the scale and score walks form the fit's residuals
-        # again, in the error state one block formed them in (the solve's).
+        # again, in the one error state every residual is formed in.
         def outcome(x):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -1122,6 +1119,18 @@ class TestRunTest:
 
         x = np.random.default_rng(4).standard_normal(2 * score_mod._BLOCK + 9) * 1e300
         assert outcome(x) == outcome(x[:2000])
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0])
+    def test_residuals_overflow_without_a_warning_at_every_lam(self, lam):
+        # On the +-1.7e308 span x - mu overflows (at lam = 2, -1.7e308 less the mean).
+        # Every residual is formed in one error state, so no lam warns of it; the
+        # scale's sum still overflows, and the fit is refused at every lam alike.
+        for call in (run_test, fit_null_mle):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(DegenerateSampleError, match="^fitted scale is not positive$"):
+                    call(digest.SPECIAL["span"], lam)
+            assert "overflow encountered in subtract" not in {str(w.message) for w in caught}
 
     def test_fixed_loc_scale_variant(self):
         rng = np.random.default_rng(5)
