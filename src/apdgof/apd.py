@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _check_fields, _check_size, _power, _reals, gamma_sample
+from .numerics import _check_fields, _check_size, _reals, gamma_sample
 
 _LOG2 = math.log(2.0)
 # Where the incomplete-gamma argument t falls below this, e^-t and the
@@ -195,16 +195,17 @@ def sample(p: ApdParams, n: int, rng: np.random.Generator) -> np.ndarray:
     not fit in memory.
 
     The draws take two arrays of ``n`` floats at most: ``G`` is raised to
-    ``1/theta2`` in its own buffer by ``numerics._power``, the kernel the
-    ``**`` operator picks (the same doubles), and ``V - theta1`` is formed in
-    the uniforms' buffer, which is released before the finite check.
+    ``1/theta2`` in its own buffer by ``**=``, which picks the kernel ``**``
+    does (the same doubles), and ``V - theta1`` is formed in the uniforms'
+    buffer, which is released before the finite check.
     """
     n = _check_size("n", n)
     if n == 0:
         return np.empty(0)
     t1, t2 = p.theta1, p.theta2
     c = _sample_scale(t1, t2)
-    y = _power(gamma_sample(1.0 + 1.0 / t2, rng, size=n), 1.0 / t2)
+    y = gamma_sample(1.0 + 1.0 / t2, rng, size=n)
+    y **= 1.0 / t2
     v = rng.random(n)
     v -= t1
     y *= v

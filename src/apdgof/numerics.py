@@ -135,23 +135,6 @@ def _check_size(name: str, value) -> int:
     return n
 
 
-def _power(a: np.ndarray, e: float) -> np.ndarray:
-    """``a ** e`` for a float64 array ``a``, written over ``a`` and returned.
-
-    Formed by the kernel the ``**`` operator picks for the exponent, so the
-    doubles are the same: ``sqrt`` at 0.5, ``square`` at 2, ``a`` itself at 1
-    and ``np.power`` otherwise.  ``np.power(..., out=)`` alone would skip
-    the fast paths (twice the time at 0.5).
-    """
-    if e == 0.5:
-        return np.sqrt(a, out=a)
-    if e == 2.0:
-        return np.square(a, out=a)
-    if e == 1.0:
-        return a
-    return np.power(a, e, out=a)
-
-
 def chi2_sf(x: float) -> float:
     """Survival function of the chi-square(2) law: ``exp(-x/2)``."""
     if not (x := _real(x, "x")) >= 0.0:

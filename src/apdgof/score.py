@@ -20,7 +20,6 @@ from .errors import DegenerateSampleError, DomainError
 from .numerics import (
     _check_count,
     _check_fields,
-    _power,
     _real,
     _reals,
     chi2_sf,
@@ -141,13 +140,13 @@ def _residuals(x: np.ndarray, mu: float, lam: float, d: np.ndarray, p: np.ndarra
     Both are written into the buffers ``d`` and ``p``, of ``x``'s size.
     ``|d|^lam`` is the product ``p d``: the signs of ``p`` and ``d`` match,
     so it is never negative (``copysign(1, -0) * -0`` is +0).  The power of
-    ``|d|`` is formed in place by ``numerics._power``, the kernel the ``**``
-    operator picks for the exponent (the one ``apd.sample`` draws with), so
-    the doubles are the same.  At exponent 2 the signed power is the one
-    multiply ``|d| d``, the same doubles as the square signed as ``d`` (-0,
-    underflow and overflow included); at exponent 1 it is a copy of ``d``,
-    which ``sign(d) |d|`` is bit for bit, and at exponent 0 it is ``d``'s
-    sign on 1, as ``|d|^0`` is 1 for every ``d``, inf included.
+    ``|d|`` is formed in place by ``**=``, which picks the kernel ``**``
+    does for the exponent (as ``apd.sample`` draws), so the doubles are the
+    same.  At exponent 2 the signed power is the one multiply ``|d| d``,
+    the same doubles as the square signed as ``d`` (-0, underflow and
+    overflow included); at exponent 1 it is a copy of ``d``, which
+    ``sign(d) |d|`` is bit for bit, and at exponent 0 it is ``d``'s sign on
+    1, as ``|d|^0`` is 1 for every ``d``, inf included.
     """
     d = np.subtract(x, mu, out=d)
     e = lam - 1.0
@@ -158,7 +157,8 @@ def _residuals(x: np.ndarray, mu: float, lam: float, d: np.ndarray, p: np.ndarra
     p = np.abs(d, out=p)
     if e == 2.0:
         return d, np.multiply(p, d, out=p)
-    return d, np.copysign(_power(p, e), d, out=p)
+    p **= e
+    return d, np.copysign(p, d, out=p)
 
 
 def _halves(n: int) -> tuple[int, int]:
@@ -647,6 +647,7 @@ def test_statistic(score: np.ndarray, n: int, lam: float, alpha: float | None = 
     ``p < alpha``.  The report's ``loc_scale`` is ``None``: no fit is made.
     """
     lam = check_lambda(lam)
+    alpha = None if alpha is None else _check_alpha(alpha)
     n = _check_count("n", n, 2, DomainError)
     r = _reals(score, "score").ravel()
     if r.size != 2:
@@ -658,9 +659,8 @@ def test_statistic(score: np.ndarray, n: int, lam: float, alpha: float | None = 
     return _report(n, lam, None, r, t, chi2_sf(t), alpha)
 
 
-def _report(n: int, lam: float, fit, r: np.ndarray, t: float, p: float, alpha) -> TestReport:
-    """The :class:`TestReport` of a test; with ``alpha`` in (0, 1), ``reject`` is ``p < alpha``."""
-    alpha = None if alpha is None else _check_alpha(alpha)
+def _report(n: int, lam: float, fit, r: np.ndarray, t: float, p: float, alpha: float | None) -> TestReport:
+    """The :class:`TestReport` of a test; with a checked ``alpha``, ``reject`` is ``p < alpha``."""
     reject = None if alpha is None else bool(p < alpha)
     return TestReport(n=n, lam=lam, loc_scale=fit, score=r, t_stat=t, p_value=p, alpha=alpha, reject=reject)
 
@@ -704,9 +704,11 @@ def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:
     Rejects when the p-value falls below ``alpha`` in (0, 1).  The score is
     :func:`modified_score`, taken from the residuals the location solve left
     at the fit.  The statistic is invariant under positive affine
-    transformations of the data.
+    transformations of the data.  ``lam``, then ``alpha``, then the data
+    are checked, before the fit.
     """
     lam = check_lambda(lam)
+    alpha = None if alpha is None else _check_alpha(alpha)
     n, mu, sigma, r, t, p = _test(_reals(data, "data"), lam)
     return _report(n, lam, LocationScale(mu=mu, sigma=sigma), r, t, p, alpha)
 

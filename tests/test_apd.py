@@ -258,6 +258,21 @@ class TestSample:
         stat = stats.kstest(x, lambda v: cdf(v, p)).statistic
         assert stat < 1.63 / math.sqrt(10**5)  # the c06 1% critical value
 
+    # One theta2 per kernel ``**`` picks for the exponent 1/theta2: square,
+    # identity, sqrt, then np.power at 3 and at the local alternative's
+    # 2 + 0.3/sqrt(2000).
+    @pytest.mark.parametrize("t2", [0.5, 1.0, 2.0, 3.0, 2.0 + 0.3 / math.sqrt(2000)],
+                             ids=["square", "identity", "sqrt", "power-3", "power-local"])
+    @pytest.mark.parametrize("t1", [0.3, 0.5])
+    def test_draws_are_the_power_formula_bit_for_bit(self, t1, t2):
+        # The draws' in-place power must be the doubles of ``**`` on this numpy.
+        p = ApdParams(t1, t2, mu=1000.0, sigma=50.0)
+        rng = np.random.default_rng(41)
+        g = rng.standard_gamma(1.0 + 1.0 / t2, 2000)
+        u = rng.random(2000)
+        expected = ((g ** (1.0 / t2)) * (u - t1)) * (p.sigma * apd._sample_scale(t1, t2)) + p.mu
+        assert sample(p, 2000, np.random.default_rng(41)).tobytes() == expected.tobytes()
+
     def test_mass_left_of_mode(self):
         p = ApdParams(0.3, 1.5, 1.0, 2.0)
         rng = np.random.default_rng(271828)

@@ -395,27 +395,6 @@ class TestGammaSample:
             gamma_sample(3.0, np.random.default_rng(13), size=size)
 
 
-class TestPowerKernel:
-    """``numerics._power``, the in-place power of ``apd.sample`` and the location solve."""
-
-    # Zero, subnormals, the double range's ends and a spread of magnitudes.
-    VALUES = np.concatenate([
-        [0.0, 5e-324, 1e-310, 1e-300, 0.5, 1.0, 2.0, 1e300, np.finfo(float).max],
-        np.exp(np.random.default_rng(29).uniform(-700.0, 700.0, 10_000)),
-    ])
-
-    @pytest.mark.parametrize("e", [0.5, 1.0, 2.0, 1 / 3, 0.25, 1 / 1.5, 3.0])
-    def test_is_the_power_operator_bit_for_bit(self, e):
-        # It must pick the kernel ``**`` picks (a fast path or np.power):
-        # a numpy whose operator changes kernel fails here first.
-        a = self.VALUES.copy()
-        with np.errstate(over="ignore", under="ignore"):
-            expected = self.VALUES**e
-            out = numerics._power(a, e)
-        assert out is a
-        assert out.tobytes() == expected.tobytes()
-
-
 class TestIntegrate:
     def test_exponential(self):
         assert_allclose(integrate(math.exp, (-math.inf, 0.0)), 1.0, rtol=0, atol=1e-10)

@@ -10,10 +10,21 @@ import json
 
 import pytest
 
-from apdgof.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
+from apdgof.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 from tests.test_cli import run_program
 
 HUGE_N = str(10**30)  # a count numpy cannot size: a bare ValueError before
+# Input files the refused ``test`` runs read, written outside the directory the
+# refusals must leave empty.
+INPUTS = {"not-utf8.txt": b"\xff\n1\n", "ties.txt": b"1\n1\n1\n"}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("inputs")
+    for name, data in INPUTS.items():
+        (folder / name).write_bytes(data)
+    return folder
 
 
 def test_sample_then_test(tmp_path):
@@ -53,12 +64,22 @@ def test_study_output_does_not_depend_on_workers():
          EXIT_NUMERIC, "error: out of memory: n is 1" + "0" * 30),
         (("simulate", "size", "--lambda", "2", "--n", "20", "--reps", HUGE_N),
          EXIT_NUMERIC, "error: out of memory: reps is 1" + "0" * 30),
+        (("test", "--input", "{tmp}/missing.txt", "--lambda", "2"), EXIT_INPUT, "error: cannot read"),
+        (("test", "--input", "{inputs}/not-utf8.txt", "--lambda", "2"), EXIT_INPUT,
+         "error: cannot read"),
+        (("test", "--input", "{inputs}/ties.txt", "--lambda", "2"), EXIT_DEGENERATE,
+         "error: degenerate sample"),
+        (("test", "--input", "{inputs}/ties.txt", "--lambda", "0.5"), EXIT_USAGE, "error: --lambda:"),
+        (("tables", "--lambda-grid", "0:1:0.5"), EXIT_USAGE, "error: --lambda-grid start:"),
+        (("simulate", "power", "--lambda", "2", "--n", "200", "--reps", "100"), EXIT_USAGE,
+         "error: simulate power requires --delta"),
     ],
     ids=["sample-seed-2**64", "simulate-seed-2**64", "sample-n-1e30", "simulate-n-1e30",
-         "simulate-reps-1e30"],
+         "simulate-reps-1e30", "test-missing-file", "test-not-utf8", "test-zero-spread",
+         "test-lambda-0.5", "tables-lambda-0", "simulate-power-no-delta"],
 )
-def test_refused_arguments_end_without_a_traceback(tmp_path, argv, code, message):
-    proc = run_program(*(a.format(tmp=tmp_path) for a in argv))
+def test_refused_arguments_end_without_a_traceback(tmp_path, inputs, argv, code, message):
+    proc = run_program(*(a.format(tmp=tmp_path, inputs=inputs) for a in argv))
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code
     assert proc.stdout == "" and proc.stderr.startswith(message)

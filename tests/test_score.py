@@ -868,6 +868,23 @@ class TestTestStatistic:
         with pytest.raises(DomainError):
             run_test_fixed_loc_scale([1.0, 2.0, 4.0], 2.0, LocationScale(0, 1), alpha)
 
+    def test_alpha_is_checked_before_the_data(self, monkeypatch):
+        # alpha was checked in the report: after a whole fit of a large sample, and never
+        # on data the fit refuses.  The order is the CLI's: lam, then alpha, then the data.
+        def no_fit(*args):
+            raise AssertionError("the data were fitted")
+
+        monkeypatch.setattr(score_mod, "_fit", no_fit)
+        with pytest.raises(DomainError, match="alpha"):
+            run_test(np.random.default_rng(0).standard_normal(10**6), 3.0, alpha=1.5)
+        with pytest.raises(DomainError, match="alpha") as refused:
+            run_test([1.0, 1.0], 2.0, alpha=2.0)
+        assert type(refused.value) is DomainError  # not DegenerateSampleError
+        with pytest.raises(DomainError, match="alpha"):
+            score_mod.test_statistic([0.1], 1, 2.0, alpha=2.0)
+        with pytest.raises(DomainError, match="lam"):
+            run_test([1.0, 1.0], 0.5, alpha=2.0)
+
     def test_alpha_none_gives_no_decision(self):
         rep = score_mod.test_statistic(np.zeros(2), 50, 1.0, alpha=None)
         assert rep.alpha is None and rep.reject is None
@@ -975,7 +992,7 @@ class TestRunTest:
                     raises=(DegenerateSampleError, RuntimeWarning),
                     reason="|x - mu|^lam over- or underflows, so the fitted scale is "
                     "inf or 0: the residual powers are not yet formed scale-safely "
-                    "(ROADMAP item 4)",
+                    "(ROADMAP item 2)",
                 ),
             )
             for lam, scale in [
@@ -999,11 +1016,38 @@ class TestRunTest:
         strict=True,
         raises=DegenerateSampleError,
         reason="|x - mu|^lam over- or underflows unless every |x - mu| is about 1, "
-        "so the fitted scale is inf or 0 near the top of the lam range (ROADMAP item 4)",
+        "so the fitted scale is inf or 0 near the top of the lam range (ROADMAP item 2)",
     )
     @pytest.mark.parametrize("data", [[0.0, 1.0, 3.0], [0.0, 0.5, 1.0]])
     def test_largest_lambdas(self, data):
         rep = run_test(data, 5.5e102)
+        assert math.isfinite(rep.t_stat) and 0.0 <= rep.p_value <= 1.0
+
+    @pytest.mark.parametrize(
+        "data,lam",
+        [
+            pytest.param(
+                data,
+                lam,
+                id=name,
+                marks=pytest.mark.xfail(strict=True, raises=raises, reason=f"{why} (ROADMAP item 2)"),
+            )
+            for name, data, lam, raises, why in [
+                ("linspace-lam-1e6", lambda: np.linspace(0.0, 1.0, 50), 1e6, DegenerateSampleError,
+                 "|x - mu|^lam underflows, so the fitted scale is 0"),
+                ("normal-65545-times-6e151", lambda: np.random.default_rng(0).standard_normal(65_545) * 6e151,
+                 2.0, DegenerateSampleError, "|x - mu|^lam overflows, so the fitted scale is inf"),
+                ("normal-200-times-1e-150", lambda: np.random.default_rng(3).normal(size=200) * 1e-150,
+                 3.0, DegenerateSampleError, "|x - mu|^lam underflows, so the fitted scale is 0"),
+            ] + [
+                (f"near-max-lam-{lam:g}", lambda: np.array([1e308, 1.7e308, 1.5e308, 1.2e308]), lam,
+                 RuntimeWarning, "the start point's (or the median's central) sum overflows")
+                for lam in (1.0, 3.0)
+            ]
+        ],
+    )
+    def test_data_past_the_safe_exponent_window(self, data, lam):
+        rep = run_test(data(), lam)
         assert math.isfinite(rep.t_stat) and 0.0 <= rep.p_value <= 1.0
 
     @pytest.mark.parametrize(

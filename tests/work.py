@@ -10,7 +10,8 @@ and every call of a numpy function such as ``median`` that is passed an
 array, with its elements: the size of the largest array among its
 arguments and its result (a numpy scalar is 1).  So an allocation such as
 ``np.empty(n)`` is not counted, as the arrays a ufunc allocates for its
-result are not.  Array operators (``*=``, ``**``), ndarray methods and
+result are not.  Array operators (``*=``, ``**``, and the in-place
+``**=`` of the sampler's and the residuals' powers), ndarray methods and
 ``Generator`` draws do not go through ``np`` and are not counted either.
 
 For each tail exponent ``lam`` in :data:`LAMS` and size ``n`` in
