@@ -101,8 +101,8 @@ def _log_norm_const(p: ApdParams) -> float:
 
 def _standardized(x, p: ApdParams):
     """``y = (x - mu) / sigma`` of data ``x``, and ``z = delta^(1/theta2) |y| / A(y)``, inf far out."""
-    y = (_reals(x, "x") - p.mu) / p.sigma
     with np.errstate(over="ignore"):
+        y = (_reals(x, "x") - p.mu) / p.sigma
         return y, _root_delta(p.theta1, p.theta2) * np.abs(y) / np.where(y < 0, p.theta1, 1.0 - p.theta1)
 
 

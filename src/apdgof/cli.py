@@ -158,16 +158,8 @@ def _first_bad_line(path: str, lines: list[str]) -> _InputError:
     raise AssertionError(f"{path}: the whole-file parse failed on no line")
 
 
-def _record(command: str, inputs: dict, results: dict) -> dict:
-    return {
-        "schema_version": _SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
-
-
-def _emit_json(record: dict) -> None:
+def _emit_json(command: str, inputs: dict, results: dict) -> None:
+    record = {"schema_version": _SCHEMA_VERSION, "command": command, "inputs": inputs, "results": results}
     print(json.dumps(record, sort_keys=True, indent=2))
 
 
@@ -202,7 +194,7 @@ def _cmd_test(args) -> int:
         "reject": report.reject,
     }
     if args.json:
-        _emit_json(_record("test", {"input": args.input, "lambda": args.lam, "alpha": args.alpha}, results))
+        _emit_json("test", {"input": args.input, "lambda": args.lam, "alpha": args.alpha}, results)
     else:
         verdict = "reject H0" if report.reject else "accept H0"
         print(f"modified score test (lambda={args.lam:g}, n={report.n})")
@@ -236,7 +228,7 @@ def _cmd_simulate(args) -> int:
     report = run(cfg, workers=args.workers)
     payload = report.to_dict()
     if args.json:
-        _emit_json(_record("simulate", {"kind": args.kind}, payload))
+        _emit_json("simulate", {"kind": args.kind}, payload)
     else:
         print(f"simulate {args.kind}: lambda={args.lam:g} n={args.n} reps={args.reps} seed={args.seed}")
         for row in payload["rejections"]:
@@ -282,7 +274,7 @@ def _cmd_tables(args) -> int:
                   *np.diagonal(score_covariance(lam))]
         rows.append(dict(zip(_TABLE_COLUMNS, map(float, values))))
     if args.json:
-        _emit_json(_record("tables", {"lambda_grid": args.lambda_grid}, {"rows": rows}))
+        _emit_json("tables", {"lambda_grid": args.lambda_grid}, {"rows": rows})
     else:
         print(",".join(_TABLE_COLUMNS))
         for row in rows:
@@ -296,7 +288,7 @@ def _cmd_sample(args) -> int:
     params = _check_flag(
         "--theta1/--theta2/--mu/--sigma", apd.ApdParams, args.theta1, args.theta2, args.mu, args.sigma
     )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
+    rng = np.random.default_rng(args.seed)
     values = apd.sample(params, args.n, rng)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -311,7 +303,7 @@ def _cmd_sample(args) -> int:
             "mu": args.mu,
             "sigma": args.sigma,
         }
-        _emit_json(_record("sample", inputs, results))
+        _emit_json("sample", inputs, results)
     else:
         print(f"wrote {args.n} values to {args.output} (seed={args.seed})")
     return EXIT_OK

@@ -532,7 +532,7 @@ def fisher_information(lam: float) -> np.ndarray:
     g_beta = math.gamma(beta)
     j = np.zeros((4, 4))
     j[0, 0] = 4.0 * (1.0 + lam)
-    j[1, 1] = (nu * (2.0 + nu) + beta * _trigamma(beta)) / lam**3
+    j[1, 1] = (nu * (2.0 + nu) + beta * _psi(beta)[1]) / lam**3
     j[0, 2] = j[2, 0] = -(2.0 ** (1.0 - 1.0 / lam)) * lam / g_beta
     j[1, 3] = j[3, 1] = -(1.0 + nu) / lam
     j[2, 2] = lam * math.gamma(3.0 - beta) / (2.0 ** (2.0 / lam) * g_beta)
@@ -540,41 +540,29 @@ def fisher_information(lam: float) -> np.ndarray:
     return j
 
 
-def _digamma(x: float) -> float:
-    """psi(x) for x > 0; within 2e-15 on the (1, 2] that ``beta`` spans.
+def _psi(x: float) -> tuple[float, float]:
+    """``(psi(x), psi'(x))`` for x > 0; within 2e-15 and 1e-15 relative on the (1, 2] that ``beta`` spans.
 
-    Shifts x up to at least 12 by ``psi(x) = psi(x + 1) - 1/x``, then sums the
-    asymptotic series ``log x - 1/(2x) - sum_k B_2k / (2k x^2k)`` through
-    ``x^-12`` (the next term is below 1e-16 there).
+    Shifts x up to at least 12 by ``psi(x) = psi(x + 1) - 1/x`` and
+    ``psi'(x) = psi'(x + 1) + 1/x^2``, then sums the asymptotic series
+    ``log x - 1/(2x) - sum_k B_2k / (2k x^2k)`` through ``x^-12`` and
+    ``1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1)`` through ``x^-13`` (the next
+    terms are below 1e-16 there).
     """
-    parts = []
+    parts, parts1 = [], []
     while x < 12.0:
         parts.append(-1.0 / x)
+        parts1.append(1.0 / (x * x))
         x += 1.0
     z = 1.0 / (x * x)
-    tail = sum(c * z**k for k, c in enumerate(_PSI_TERMS, 1))
-    return math.fsum([*parts, math.log(x), -0.5 / x, -tail])
-
-
-def _trigamma(x: float) -> float:
-    """psi'(x) for x > 0; within 1e-15 relative on the (1, 2] that ``beta`` spans.
-
-    Shifts x up to at least 12 by ``psi'(x) = psi'(x + 1) + 1/x^2``, then sums
-    ``1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1)`` through ``x^-13``.
-    """
-    parts = []
-    while x < 12.0:
-        parts.append(1.0 / (x * x))
-        x += 1.0
-    z = 1.0 / (x * x)
-    tail = sum(c * z**k for k, c in enumerate(_PSI1_TERMS, 1))
-    return math.fsum([*parts, (1.0 + 0.5 / x + tail) / x])
+    tail, tail1 = (sum(c * z**k for k, c in enumerate(terms, 1)) for terms in (_PSI_TERMS, _PSI1_TERMS))
+    return math.fsum([*parts, math.log(x), -0.5 / x, -tail]), math.fsum([*parts1, (1.0 + 0.5 / x + tail1) / x])
 
 
 # Cached: every replicate of a study scores and tests at the same lam.
 @functools.lru_cache(maxsize=256)
 def _nu(lam: float) -> float:
-    return math.log(2.0) + _digamma(1.0 + 1.0 / lam)
+    return math.log(2.0) + _psi(1.0 + 1.0 / lam)[0]
 
 
 def _sinc_defect(lam: float) -> float:
@@ -605,7 +593,7 @@ def _score_cov_diag(lam: float) -> tuple[float, float]:
         s11 = 4.0 * (_sinc_defect(lam) - 1.0) / (lam - 1.0)
     else:
         s11 = 4.0 * (1.0 + lam) - 4.0 * lam / (math.gamma(3.0 - beta) * math.gamma(beta))
-    s22 = (beta * _trigamma(beta) - 1.0) / lam**3
+    s22 = (beta * _psi(beta)[1] - 1.0) / lam**3
     return s11, s22
 
 

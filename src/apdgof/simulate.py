@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -150,15 +150,7 @@ class StudyReport:
                 "mu": self.config.loc_scale.mu,
                 "sigma": self.config.loc_scale.sigma,
             },
-            "rejections": [
-                {
-                    "alpha": r.alpha,
-                    "rate": r.rate,
-                    "std_error": r.std_error,
-                    "predicted": r.predicted,
-                }
-                for r in self.rejections
-            ],
+            "rejections": [asdict(r) for r in self.rejections],
             "ks_stat": self.ks_stat,
             "replicate_failures": self.replicate_failures,
         }
@@ -314,7 +306,7 @@ def mc_fisher_check(lam: float, n_draws: int, seed: int) -> McFisherCheck:
     lam = check_lambda(lam)
     n_draws = _check_count("n_draws", n_draws, 10**5, ConfigError)
     seed = _check_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rng = np.random.default_rng(seed)
     y = apd.sample(apd.ApdParams(theta1=0.5, theta2=lam), n_draws, rng)
     v = stacked_scores(y, lam)
     centered = v - v.mean(axis=1, keepdims=True)

@@ -159,6 +159,24 @@ class TestLogPdf:
             warnings.simplefilter("error")
             assert log_pdf(1e50, ApdParams(0.5, 7.0)) == -math.inf
 
+    @pytest.mark.parametrize(
+        "fn, x, p, expected",
+        [
+            (log_pdf, 1.0, ApdParams(0.5, 2.0, 0.0, 5e-324), -math.inf),
+            (pdf, [1.0, -1.0], ApdParams(0.5, 2.0, 0.0, 5e-324), [0.0, 0.0]),
+            (cdf, [1.0, -1.0], ApdParams(0.3, 2.0, 0.0, 5e-324), [1.0, 0.0]),
+            (log_pdf, 1e308, ApdParams(0.5, 2.0, -1e308, 1.0), -math.inf),
+            (cdf, [1e308, -1e308], ApdParams(0.5, 2.0, -1e308, 1.0), [1.0, 0.5]),
+        ],
+        ids=["log_pdf-tiny-sigma", "pdf-tiny-sigma", "cdf-tiny-sigma", "log_pdf-far-mu", "cdf-far-mu"],
+    )
+    def test_limit_without_warning_where_the_standardized_value_overflows(self, fn, x, p, expected):
+        # (x - mu) / sigma itself leaves the double range, by the division or by the subtraction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fn(x, p)
+        assert_allclose(out, expected, rtol=0, atol=0)
+
     def test_density_is_zero_where_the_tail_overflows(self):
         p = ApdParams(0.3, 1e3, 0.3, 1.2)
         x = np.linspace(-6.0, 6.0, 121)

@@ -277,6 +277,34 @@ class TestSimulateCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_delta_that_is_not_decimals(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "power", "--lambda", "2", "--delta", "0.5,x")
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: argument --delta: not a pair of decimals: '0.5,x'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "size", "--lambda", "3", "--n", "200", "--reps", "100", "--seed", "1"),
+            ("simulate", "power", "--lambda", "2", "--delta", "0.5,0.3", "--n", "200", "--reps", "100", "--seed", "7"),
+        ],
+        ids=["size", "power"],
+    )
+    def test_human_output_matches_the_json_record(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        _, text, _ = run_cli(capsys, *argv, "--json")
+        payload = json.loads(text)["results"]
+        cfg = payload["config"]
+        expected = [f"simulate {payload['kind']}: lambda={cfg['lambda']:g} n={cfg['n']} reps={cfg['reps']} seed={cfg['seed']}"]
+        for row in payload["rejections"]:
+            line = f"  alpha={row['alpha']:g}  rejection={row['rate']:.4f}  se={row['std_error']:.4f}"
+            if payload["kind"] == "power":
+                line += f"  predicted={row['predicted']:.4f}"
+            expected.append(line)
+        expected.append(f"  ks_stat={payload['ks_stat']:.6f}  failures={payload['replicate_failures']}")
+        assert out.splitlines() == expected
+
     def test_invalid_reps(self, capsys):
         code, _, _ = run_cli(
             capsys, "simulate", "size", "--lambda", "2", "--reps", "5",
@@ -388,6 +416,19 @@ class TestSampleCommand:
         )
         assert code == EXIT_OK
         assert json.loads(text)["results"]["p_value"] > 0.01
+
+    def test_json_record(self, capsys, tmp_path):
+        out = tmp_path / "x.txt"
+        code, text, err = run_cli(
+            capsys, "sample", "--theta1", "0.3", "--theta2", "1.5", "--mu", "2", "--sigma", "0.5",
+            "--n", "40", "--seed", "11", "--output", str(out), "--json",
+        )
+        assert code == EXIT_OK and err == ""
+        record = json.loads(text)
+        assert record["command"] == "sample"
+        assert record["inputs"] == {"theta1": 0.3, "theta2": 1.5, "mu": 2.0, "sigma": 0.5}
+        assert record["results"] == {"n": 40, "seed": 11, "output": str(out)}
+        assert len(out.read_text().splitlines()) == 40
 
     def test_zero_n_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(

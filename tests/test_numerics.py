@@ -2,7 +2,7 @@
 
 High-precision reference values come from mpmath at 50 digits.  The gamma
 family is checked through the functions the package calls: ``score``'s own
-psi and psi' (``score._digamma``, ``score._trigamma``), and the
+psi and psi' (both from the one series ``score._psi``), and the
 ``scipy.special`` log-gamma and incomplete gamma of ``apd.cdf`` and
 ``apd.quantile``.
 The noncentral chi-square survival function, a numpy kernel that sums
@@ -36,12 +36,18 @@ mp.mp.dps = 50
 
 RECURRENCE_POINTS = [0.1, 0.5, 1.0, 3.7, 10.0]
 
-# The gamma-family functions the package calls: score's psi and psi', and
-# the scipy.special ones of apd.cdf and apd.quantile.
+# The gamma-family functions the package calls: the scipy.special ones of
+# apd.cdf and apd.quantile, and score's psi and psi'.
 log_gamma = sc.gammaln
-digamma = score._digamma
-trigamma = score._trigamma
 reg_lower_inc_gamma = sc.gammainc
+
+
+def digamma(x):
+    return score._psi(x)[0]
+
+
+def trigamma(x):
+    return score._psi(x)[1]
 
 
 # Poisson tail mass left unaccounted for when the mixture series is truncated.

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from apdgof import apd
-from apdgof.errors import ConfigError, DomainError
+from apdgof.errors import ApdGofError, ConfigError, DomainError
 from apdgof.numerics import _chi2_cdf
 from apdgof.score import LocationScale, asymptotic_power, fisher_information
 from apdgof.simulate import (
@@ -386,6 +386,26 @@ class TestQuadratureFisher:
         qf = quadrature_fisher(2.0)
         for a, b in [(0, 1), (0, 3), (1, 2), (2, 3)]:
             assert abs(qf[a, b]) < 1e-8
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the contract is on what it returns or raises
+    @pytest.mark.parametrize(
+        "lam",
+        [pytest.param(70.0, id="70")]
+        + [
+            pytest.param(
+                lam,
+                id=name,
+                marks=pytest.mark.xfail(strict=True, raises=OverflowError, reason="ROADMAP item 6"),
+            )
+            for name, lam in [("100", 100.0), ("1e3", 1e3)]
+        ],
+    )
+    def test_large_lambda_gives_a_value_or_a_typed_error(self, lam):
+        try:
+            qf = quadrature_fisher(lam)
+        except ApdGofError:
+            return
+        assert_allclose(qf, fisher_information(lam), rtol=1e-6, atol=1e-6)
 
 
 class TestMleRmseStudy:
