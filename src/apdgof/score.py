@@ -223,7 +223,7 @@ def _ratio_sum(d: np.ndarray, p: np.ndarray) -> tuple[float]:
 
 
 def _slope_sums(d: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    """:func:`_signed_sum` and :func:`_ratio_sum`, for a pass that needs both."""
+    """:func:`_signed_sum` and :func:`_ratio_sum`: the sums of a pass of the location solve past one leaf."""
     return _signed_sum(d, p) + _ratio_sum(d, p)
 
 
@@ -322,19 +322,17 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
     fit), a one-leaf fit at lam in {1, 2}, which reads ``x`` no more once
     ``mu`` is known, writes ``d`` over ``x`` and allocates only ``p``.
     Every other fit rereads ``x`` on each pass or walk.  Each pass forms
-    the residuals at its ``mu`` and takes s (:func:`_signed_sum`), then s'
-    (:func:`_ratio_sum`).  A pass ends the solve before that divide when
+    the residuals at its ``mu`` and takes s and s'; it ends the solve when
     s = 0 or when the sign of s leaves no double strictly inside the
-    bracket, where every step would land on an end and stop; when it leaves
-    one double inside, every step lands on that double, and the pass moves
-    there without s'.  Out of passes, and for lam in {1, 2}, the residuals
-    are formed at ``mu``.  Past one leaf, a pass walks the leaves for s and
-    s' together (:func:`_slope_sums`); a pass at ``mu`` next to a bracket
-    end walks for s alone, as it may close, and walks again for s' only if
-    it neither closes nor leaves one double inside.  The lam = 1 location
-    is ``np.median``'s double: on one leaf ``np.median`` itself, past one
-    leaf selected block by block in the buffer ``d`` (:func:`_median`),
-    with no copy of the n values.
+    bracket, where every step would land on an end.  Past one leaf a pass
+    walks the leaves once, for both (:func:`_slope_sums`).  On one leaf it
+    takes s (:func:`_signed_sum`), and s' (:func:`_ratio_sum`) only if it
+    goes on: the closing pass's ``d`` and ``p`` are the buffers the scale
+    sums (:func:`_fit`), and the divide writes over ``d``.  Out of passes,
+    and for lam in {1, 2}, the residuals are formed at ``mu``.  The lam = 1
+    location is ``np.median``'s double: on one leaf ``np.median`` itself,
+    past one leaf selected block by block in the buffer ``d``
+    (:func:`_median`), with no copy of the n values.
     """
     one = x.size <= _BLOCK
     if lam == 1.0 and not one:
@@ -362,26 +360,18 @@ def _locate(x: np.ndarray, lo: float, hi: float, lam: float, overwrite: bool = F
         for _ in range(_ROOT_MAX_ITER):
             if one:
                 (s,) = _signed_sum(*_residuals(x, mu, lam, d, p))
-            elif math.nextafter(lo, hi) < mu < math.nextafter(hi, lo):
+            else:
                 s, sp = _walk(x, d, p, mu, lam, _slope_sums)
-            else:  # a pass at mu next to a bracket end may close, and then needs no s'
-                (s,), sp = _walk(x, d, p, mu, lam, _signed_sum), None
             if s > 0.0:
                 lo = mu
             elif s < 0.0:
                 hi = mu
             else:
                 return mu, d, p
-            inside = math.nextafter(lo, hi)
-            if not inside < hi:  # no double left inside: every step lands on an end
+            if not math.nextafter(lo, hi) < hi:  # no double left inside: every step lands on an end
                 return mu, d, p
-            if not math.nextafter(inside, hi) < hi:  # one double left inside: every step lands on it
-                dx, mu = inside - mu, inside
-                continue
             if one:
                 (sp,) = _ratio_sum(d, p)
-            elif sp is None:
-                sp = _walk(x, d, p, mu, lam, _slope_sums)[1]
             ds = (lam - 1.0) * sp
             h = s / ds if 0.0 < ds < math.inf else math.nan
             if 2.0 * abs(h) > abs(dx):
@@ -437,15 +427,16 @@ def fit_null_mle(data, lam: float) -> LocationScale:
     solve's last) times ``x_i - mu``; :func:`run_test` scores from those
     same arrays.  At every lam the fit holds two buffers the size of the
     largest leaf of numpy's pairwise sum, n values up to 32,768.  Past that
-    many the data are walked in blocks, those leaves; each sum is added up
-    the same tree, so it is the double of a sum over the whole sample.  The
-    lam = 1 median is ``np.median``'s double; past one block it is selected
-    in one of the buffers.  Every residual ``x_i - mu`` and its power is
-    formed with numpy's floating-point warnings off, at every lam; the
-    scale's sum keeps them, and a scale that is not finite and positive
-    raises :class:`DegenerateSampleError`.  ``data`` is never written: only
-    a study's replicate hands its draws over to be overwritten
-    (:func:`_test`).
+    many the data are walked in blocks, those leaves: once a pass of the
+    solve, for ``s`` and ``s'`` together, and once for the scale.  Each sum
+    is added up the same tree, so it is the double of a sum over the whole
+    sample.  The lam = 1 median is ``np.median``'s double; past one block
+    it is selected in one of the buffers.  Every residual ``x_i - mu`` and
+    its power is formed with numpy's floating-point warnings off, at every
+    lam; the scale's sum keeps them, and a scale that is not finite and
+    positive raises :class:`DegenerateSampleError`.  ``data`` is never
+    written: only a study's replicate hands its draws over to be
+    overwritten (:func:`_test`).
     """
     lam = check_lambda(lam)
     mu, sigma = _fit(*_as_clean_data(_reals(data, "data")), lam)[:2]
@@ -686,14 +677,15 @@ def asymptotic_power(delta, lam: float, alpha: float) -> float:
     return noncentral_chi2_sf(crit, noncentrality(delta, lam))
 
 
-def run_test(data, lam: float, alpha: float = 0.05) -> TestReport:
+def run_test(data, lam: float, alpha: float | None = 0.05) -> TestReport:
     """Fit the null location/scale, then test the shape pair.
 
-    Rejects when the p-value falls below ``alpha`` in (0, 1).  The score is
-    :func:`modified_score`, taken from the residuals the location solve left
-    at the fit.  The statistic is invariant under positive affine
-    transformations of the data.  ``lam``, then ``alpha``, then the data
-    are checked, before the fit.
+    Rejects when the p-value falls below ``alpha`` in (0, 1); with ``alpha``
+    ``None`` the report gives no verdict (``alpha`` and ``reject`` are
+    ``None``).  The score is :func:`modified_score`, taken from the
+    residuals the location solve left at the fit.  The statistic is
+    invariant under positive affine transformations of the data.  ``lam``,
+    then ``alpha``, then the data are checked, before the fit.
     """
     lam = check_lambda(lam)
     alpha = None if alpha is None else _check_alpha(alpha)

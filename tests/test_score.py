@@ -627,16 +627,14 @@ class TestNonFiniteScore:
 
 
 class TestLocateWork:
-    """Past one leaf, the location solve forms s' only on the passes whose step needs it."""
+    """Past one leaf, each pass of the location solve walks the leaves once, for s and s' together."""
 
     # seed: leaf walks of the solve on 1e5 values at lam = 3 (4 leaves a
-    # pass), and those that form s alone.  Every leaf of a solve walk takes
-    # s, and a leaf that forms s' too takes it after s.  The closing pass
-    # forms s alone, and so does a pass next to a bracket end that leaves one
-    # double inside; a full Newton step on every pass, as in reference_fit,
-    # lands on the same location.
-    @pytest.mark.parametrize("seed, walks, s_only", [(0, 40, 4), (1, 44, 8), (3, 32, 8)])
-    def test_passes_that_need_no_slope_do_not_divide(self, monkeypatch, seed, walks, s_only):
+    # pass).  Every leaf of a solve walk takes s, then s'; the closing pass
+    # too, whose s' goes unused.  The location is reference_fit's, which
+    # takes the same steps.
+    @pytest.mark.parametrize("seed, walks", [(0, 40), (1, 44), (3, 32)])
+    def test_every_solve_leaf_takes_the_slope(self, monkeypatch, seed, walks):
         x = apd.sample(apd.ApdParams(0.5, 3.0), 100_000, np.random.default_rng(seed))
         slopes = []
 
@@ -650,8 +648,7 @@ class TestLocateWork:
         monkeypatch.setattr(score_mod, "_signed_sum", counted(score_mod._signed_sum, False))
         monkeypatch.setattr(score_mod, "_ratio_sum", counted(score_mod._ratio_sum, True))
         assert fit_null_mle(x, 3.0).mu == reference_fit(x, 3.0).mu
-        s, sp = slopes.count(False), slopes.count(True)
-        assert (s, s - sp) == (walks, s_only)
+        assert slopes == [False, True] * walks
 
 
 class TestModifiedScore:
@@ -886,8 +883,9 @@ class TestTestStatistic:
             run_test([1.0, 1.0], 0.5, alpha=2.0)
 
     def test_alpha_none_gives_no_decision(self):
-        rep = score_mod.test_statistic(np.zeros(2), 50, 1.0, alpha=None)
-        assert rep.alpha is None and rep.reject is None
+        reports = (score_mod.test_statistic(np.zeros(2), 50, 1.0, alpha=None), run_test([1.0, 2.0, 4.0], 2.0, None))
+        for rep in reports:
+            assert rep.alpha is None and rep.reject is None
 
     @pytest.mark.parametrize("score", [[0.1], [0.1, 0.2, 5.0]])
     def test_score_not_a_pair(self, score):
