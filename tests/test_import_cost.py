@@ -1,5 +1,13 @@
 """Import cost of the package.
 
+``import apdgof`` runs ``errors``, ``numerics`` and ``score`` only: all a
+first :func:`apdgof.run_test` needs.  ``apd`` and ``simulate`` (six frozen
+dataclasses and ``json`` between them) load on the first use of one of their
+names, or of the submodule itself.  ``apdgof.cli``, and so ``apdgof test``,
+still imports both at module level: its other subcommands sample and run
+studies, and the benchmark reads every submodule's import time from one
+``import apdgof.cli``.
+
 ``import apdgof``, a first :func:`apdgof.run_test` and an in-process
 ``apdgof test --json`` need numpy only.  ``scipy.stats`` takes about half a
 second and some 20 MB to import and is never needed.  ``scipy.special``
@@ -20,6 +28,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import apdgof
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,6 +54,42 @@ def _run(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_first_test_loads_neither_apd_nor_simulate():
+    code = """
+import sys, apdgof
+apdgof.run_test([-2.1, -1.2, -0.4, 0.1, 0.3, 0.9, 1.7, 2.4], 1.5)
+print([m for m in ("apdgof.apd", "apdgof.simulate", "json") if m in sys.modules])
+"""
+    assert _run(code).strip() == "[]"
+
+
+def test_public_names_are_their_submodules_own():
+    code = """
+import json, sys, apdgof
+apdgof.run_test([-2.1, -1.2, -0.4, 0.1, 0.3, 0.9, 1.7, 2.4], 1.5)
+objects = {name: getattr(apdgof, name) for name in apdgof.__all__ if name != "__version__"}
+print(json.dumps({name: obj is getattr(sys.modules[obj.__module__], name) for name, obj in objects.items()}))
+"""
+    same = json.loads(_run(code).strip().splitlines()[-1])
+    assert len(same) == len(apdgof.__all__) - 1 and all(same.values()), same
+
+
+@pytest.mark.parametrize("name", ["apd", "simulate"])
+def test_bare_import_still_resolves_the_submodule(name):
+    code = f"import apdgof; print(apdgof.{name}.__name__)"
+    assert _run(code).strip() == f"apdgof.{name}"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        apdgof.no_such_name  # noqa: B018
+
+
+def test_dir_lists_every_public_name():
+    code = "import apdgof; print(sorted(set(apdgof.__all__) - set(dir(apdgof))))"
+    assert _run(code).strip() == "[]"
 
 
 def test_import_does_not_load_scipy_stats():

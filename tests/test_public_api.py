@@ -5,14 +5,19 @@ Python blocks import from ``apdgof``, plus the error classes and
 ``__version__``; everything else stays in the submodules.  Each README
 Python block is also run, so the quick start cannot go stale.  Every name
 the benchmark's tracer patches (``TRACED`` in ``benchmarks/tracing.py``)
-must still be a function of its module.  Data arrays enter the package
+must still be a function of its module, and a fresh ``import apdgof.cli``
+must load, and log under ``-X importtime``, every module whose import time
+the benchmark reads from it (``MODULES``).  Data arrays enter the package
 through one rule: ``np.asarray`` is called only in ``numerics._reals``.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,18 +62,34 @@ def test_readme_block_runs(index):
     exec(compile(README_BLOCKS[index], f"README.md block {index}", "exec"), {})
 
 
-def traced_names() -> list[str]:
+def tracing_names(constant: str) -> list[str]:
     tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == constant for t in node.targets):
             return list(ast.literal_eval(node.value))
-    raise AssertionError("benchmarks/tracing.py defines no TRACED")
+    raise AssertionError(f"benchmarks/tracing.py defines no {constant}")
 
 
-@pytest.mark.parametrize("name", traced_names())
+@pytest.mark.parametrize("name", tracing_names("TRACED"))
 def test_traced_name_is_a_function(name):
     module, attr = name.split(".")
     assert callable(getattr(importlib.import_module(f"apdgof.{module}"), attr, None))
+
+
+def test_cli_import_logs_every_benchmarked_module():
+    """The benchmark reads each module's import time from ``-X importtime -c "import apdgof.cli"``.
+
+    A module loaded through ``importlib.import_module`` is in ``sys.modules``
+    but has no line there, and the benchmark then stops on an empty median.
+    """
+    modules = [f"apdgof.{m}" for m in tracing_names("MODULES")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import apdgof.cli"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert modules and [m for m in modules if m not in logged] == []
 
 
 def asarray_sites() -> list[str]:
