@@ -96,21 +96,39 @@ def _sample_scale(theta1: float, theta2: float) -> float:
 def _log_norm_const(p: ApdParams) -> float:
     # log of delta^(1/t2) / (2^(1/t2) Gamma(1 + 1/t2))
     inv = 1.0 / p.theta2
-    return inv * (_log_delta(p.theta1, p.theta2) - _LOG2) - math.lgamma(1.0 + inv)
+    try:
+        log_gamma = math.lgamma(1.0 + inv)
+    except OverflowError:  # theta2 below about 3.9e-306: the constant is 0, as it is where 1/theta2 = inf
+        return -math.inf
+    return inv * (_log_delta(p.theta1, p.theta2) - _LOG2) - log_gamma
 
 
 def _standardized(x, p: ApdParams):
-    """``y = (x - mu) / sigma`` of data ``x``, and ``z = delta^(1/theta2) |y| / A(y)``, inf far out."""
-    with np.errstate(over="ignore"):
-        y = (_reals(x, "x") - p.mu) / p.sigma
-        return y, _root_delta(p.theta1, p.theta2) * np.abs(y) / np.where(y < 0, p.theta1, 1.0 - p.theta1)
+    """``y = (x - mu) / sigma``, ``z = delta^(1/theta2) |y| / A(y)`` and ``z^theta2`` of data ``x``.
+
+    ``y`` and ``z`` are inf where they leave the double range.  There the
+    power is ``exp(theta2 log z)``, with ``log z`` formed from logs; at small
+    ``theta2`` it is finite, and it is inf only where it overflows itself.
+    """
+    x = _reals(x, "x")
+    t1, t2 = p.theta1, p.theta2
+    with np.errstate(over="ignore", divide="ignore"):
+        y = (x - p.mu) / p.sigma
+        base = np.where(y < 0, t1, 1.0 - t1)
+        z = _root_delta(t1, t2) * np.abs(y) / base
+        power = z**t2
+        far = np.isinf(z)
+        if far.any():
+            # |x - mu| = 2 |x/2 - mu/2|; the halves are exact where |y| overflows
+            log_z = np.log(np.abs(x / 2 - p.mu / 2)) - np.log(base)
+            log_z += _LOG2 + _log_delta(t1, t2) / t2 - math.log(p.sigma)
+            power = np.where(far, np.exp(t2 * log_z), power)
+    return y, z, power
 
 
 def log_pdf(x, p: ApdParams):
     """Log density at ``x`` (scalar or array)."""
-    z = _standardized(x, p)[1]
-    with np.errstate(over="ignore"):  # far in the tails the power is inf: log density -inf
-        tail = z**p.theta2
+    tail = _standardized(x, p)[2]  # inf far in the tails: log density -inf
     out = _log_norm_const(p) - 0.5 * tail - math.log(p.sigma)
     return float(out) if out.ndim == 0 else out
 
@@ -130,11 +148,14 @@ def cdf(x, p: ApdParams):
     """
     from scipy import special as sc
 
-    y, z = _standardized(x, p)
+    y, z, power = _standardized(x, p)
     t1, t2 = p.theta1, p.theta2
     a = 1.0 / t2
-    with np.errstate(over="ignore", divide="ignore"):
-        t = 0.5 * z**t2
+    t = 0.5 * power
+    # invalid: where z = inf, at theta2 below about 4e-306, log z - a log 2
+    # - gammaln(1 + a) is inf - inf; there t > 0.5 is not small, so that
+    # NaN p_small is discarded below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # Below _TINY, P(a, t) = t^a / Gamma(1 + a) to double precision, and
         # t^a = z / 2^a stays representable where t underflows (large theta2).
         p_small = np.exp(np.log(z) - a * _LOG2 - sc.gammaln(1.0 + a))

@@ -190,8 +190,8 @@ def _chi2_cdf(x, ncp: float):
     if not a <= _MAX_MEAN:
         raise AccuracyError(f"the noncentral chi-square law has no computed value at ncp={ncp}: ncp/2 is past 2**53")
     jlo, jhi = _window(a)
-    if jhi <= _ERLANG_MAX_K:
-        coef = _erlang_coefficients(a, int(jlo), int(jhi))
+    if jhi <= _ERLANG_MAX_K:  # a <= 71.86 here, and J's window starts at 0 up to a = 94.09
+        coef = _erlang_coefficients(a, int(jhi))
         b = np.minimum(b, _ERLANG_MAX_B)
         h = coef[-1]
         for c in coef[-2::-1]:
@@ -213,14 +213,13 @@ def _chi2_cdf(x, ncp: float):
     return np.where(overlap, near, cdf)
 
 
-def _erlang_coefficients(a: float, jlo: int, jhi: int) -> list[float]:
+def _erlang_coefficients(a: float, jhi: int) -> list[float]:
     """``P(J >= k) / k!`` for ``J ~ Poisson(a)``, ``k = 0, 1, ...`` while ``P(J >= k) >= 1e-20``.
 
-    ``jlo..jhi`` is ``J``'s window (:func:`_window`).
+    ``0..jhi`` is ``J``'s window (:func:`_window`), which starts at 0.
     """
-    tail = np.cumsum(_poisson_weights(a, jlo, jhi)[::-1])[::-1]
-    coef = np.ones(jhi + 1)
-    coef[jlo:] = tail / tail[0]  # P(J >= k), 1 below the window
+    tail = np.cumsum(_poisson_weights(a, jhi)[::-1])[::-1]
+    coef = tail / tail[0]  # P(J >= k)
     k = np.count_nonzero(coef >= _TAIL)  # coef falls with k: the terms past it add under 1e-20
     return [c / math.factorial(i) for i, c in enumerate(coef[:k].tolist())]
 
@@ -238,16 +237,16 @@ def _window(mean):
     return np.maximum(np.floor(mean - r), 0.0), np.ceil(mean + t + np.hypot(t, r))
 
 
-def _poisson_weights(mean: float, lo: int, hi: int) -> np.ndarray:
-    """Poisson(``mean``) probabilities of ``lo..hi``, up to one common factor.
+def _poisson_weights(mean: float, hi: int) -> np.ndarray:
+    """Poisson(``mean``) probabilities of ``0..hi``, up to one common factor.
 
     Products of the ratios ``P(k + 1) / P(k) = mean / (k + 1)`` outward
     from the mode, which is 1: no term goes through ``exp`` or a log-gamma,
     whose cancellation at a large mean costs digits, and any caller's
     normalisation by the sum makes the window's weights sum to 1.
     """
-    m = min(max(math.floor(mean), lo), hi) - lo  # the mode's index
-    k = np.arange(lo, hi + 1, dtype=float)
+    m = min(math.floor(mean), hi)  # the mode
+    k = np.arange(hi + 1, dtype=float)
     w = np.empty(k.size)
     w[m] = 1.0
     np.divide(mean, k[m + 1 :], out=w[m + 1 :])

@@ -14,9 +14,10 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import apd
 from .errors import ConfigError, DegenerateSampleError, DomainError
@@ -168,15 +169,80 @@ class McFisherCheck:
     std_error: np.ndarray
 
 
+# numpy's SeedSequence hash on 32-bit words (numpy/random/bit_generator.pyx):
+# hashmix(v) is ``v ^= h; h *= MULT; v *= h; v ^= v >> 16``, with a running
+# constant h, and mix(x, y) is ``r = MIX_L x - MIX_R y; r ^ r >> 16``.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashmix
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@lru_cache(maxsize=256)
+def _seed_pool(seed: int) -> tuple[tuple[int, int, int, int], int]:
+    """numpy's SeedSequence pool after the words of ``seed``, and the running hash constant.
+
+    With a spawn key the seed's little-endian words are zero-padded to the
+    pool size 4, so they fill the pool; then each pool word is mixed with
+    the hashmix of every other.  This half is the same for every replicate.
+    """
+    pool, h = [], _INIT_A
+    for i in range(4):
+        v = ((seed >> 32 * i & _M32) ^ h) * (h := h * _MULT_A & _M32) & _M32
+        pool.append(v ^ v >> 16)
+    for a in range(4):
+        for b in range(4):
+            if a != b:
+                v = (pool[a] ^ h) * (h := h * _MULT_A & _M32) & _M32
+                v = (_MIX_L * pool[b] - _MIX_R * (v ^ v >> 16)) & _M32
+                pool[b] = v ^ v >> 16
+    return tuple(pool), h
+
+
+class _ReplicateSeed(ISeedSequence):
+    """PCG64's four uint64 seed words, as numpy's SeedSequence would generate them."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: list[int]):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a replicate seed holds 4 uint64 words, not {n_words} of {dtype}")
+        return np.array(self._words, np.uint64)
+
+
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
     """Random stream for replicate ``index``, derived from ``(seed, index)``.
 
-    Uses a spawn-key seed sequence, so streams are independent of how
-    replicates are scheduled across workers.  ``seed`` follows the
+    The stream is numpy's ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=(index,)))``, draw for draw, so streams are independent of
+    how replicates are scheduled across workers.  The package computes that
+    seed hash itself, mixing the seed's words once per seed, and a test pins
+    it against the installed numpy.  So the Generator's
+    ``bit_generator.seed_seq`` is a private seed object, not a
+    ``SeedSequence``, and it cannot ``spawn``.  ``seed`` follows the
     :class:`StudyConfig` rule, and ``index`` is a count from 0.
     """
     seed, index = _check_seed(seed), _check_count("index", index, 0, ConfigError)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    pool, h = _seed_pool(seed)
+    pool = list(pool)
+    while True:  # the index's little-endian words; 0 is the one word 0
+        w = index & _M32
+        for b in range(4):
+            v = (w ^ h) * (h := h * _MULT_A & _M32) & _M32
+            v = (_MIX_L * pool[b] - _MIX_R * (v ^ v >> 16)) & _M32
+            pool[b] = v ^ v >> 16
+        index >>= 32
+        if not index:
+            break
+    words, h = [], _INIT_B
+    for k in (0, 2, 0, 2):  # output words cycle through the pool; two make a uint64
+        lo = (pool[k] ^ h) * (h := h * _MULT_B & _M32) & _M32
+        hi = (pool[k + 1] ^ h) * (h := h * _MULT_B & _M32) & _M32
+        words.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
+    return np.random.default_rng(_ReplicateSeed(words))
 
 
 def ks_distance(values, cdf) -> float:

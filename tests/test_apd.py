@@ -11,6 +11,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -177,6 +178,15 @@ class TestLogPdf:
             out = fn(x, p)
         assert_allclose(out, expected, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("theta2", [6e-309, 1e-307])
+    def test_density_is_zero_where_the_normalizing_gamma_overflows(self, theta2):
+        # Gamma(1 + 1/theta2) leaves the double range: math.lgamma raised a bare OverflowError
+        p = ApdParams(0.5, theta2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_pdf(0.0, p) == -math.inf
+            assert_allclose(pdf([-1.0, 0.0, 2.0], p), [0.0, 0.0, 0.0], rtol=0, atol=0)
+
     def test_density_is_zero_where_the_tail_overflows(self):
         p = ApdParams(0.3, 1e3, 0.3, 1.2)
         x = np.linspace(-6.0, 6.0, 121)
@@ -231,6 +241,38 @@ class TestCdf:
     def test_mass_left_of_mode_by_quadrature(self, p):
         left = numerics.integrate(lambda x: pdf(x, p), (-math.inf, p.mu))
         assert_allclose(left, p.theta1, rtol=0, atol=1e-9)
+
+
+    @pytest.mark.parametrize("theta2", [2.2e-308, 5.5e-309])
+    def test_overflowed_z_at_tiny_theta2_without_warning(self, theta2):
+        # z = inf, but t = (z^theta2) / 2 is 1/2 to double precision and Gamma(1/theta2)
+        # has no mass below it: the value is theta1.  It was 1.0 with "invalid value" from
+        # the discarded small-t branch's inf - inf, and NaN once 1/theta2 = inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cdf([1.7e308, -1.7e308], ApdParams(0.18, theta2))
+        assert_allclose(out, [0.18, 0.18], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("theta2", [0.0043, 0.0045])
+    def test_overflowed_standardized_value_against_mpmath(self, theta2):
+        # y = x / sigma = +-1e608 is past the double range but t is not: the CDF
+        # was 1.0 and 0.0, and the log density -inf
+        p = ApdParams(0.3, theta2, 0.0, 1e-300)
+        mp.mp.dps = 40
+        t1, t2 = mp.mpf(p.theta1), mp.mpf(p.theta2)
+        a, b = t1**t2, (1 - t1) ** t2
+        delta = 2 * a * b / (a + b)
+        log_norm = mp.log(delta / 2) / t2 - mp.loggamma(1 + 1 / t2) - mp.log(mp.mpf(p.sigma))
+        expected_cdf, expected_log_pdf = [], []
+        for y in (mp.mpf(1e308) / mp.mpf(p.sigma), mp.mpf(-1e308) / mp.mpf(p.sigma)):
+            t = delta / (2 * (a if y < 0 else b)) * abs(y) ** t2
+            lower = mp.gammainc(1 / t2, 0, t, regularized=True)
+            expected_cdf.append(float(t1 * (1 - lower) if y < 0 else t1 + (1 - t1) * lower))
+            expected_log_pdf.append(float(log_norm - t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_allclose(cdf([1e308, -1e308], p), expected_cdf, rtol=1e-9, atol=0)
+            assert_allclose(log_pdf([1e308, -1e308], p), expected_log_pdf, rtol=1e-12, atol=0)
 
 
 class TestQuantile:

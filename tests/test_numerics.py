@@ -284,6 +284,20 @@ KERNEL_XS = (0.0, 1e-3, 0.5, 3.0, 5.99, 12.0, 30.0, 60.0, 900.0, 1e4)
 class TestPoissonPairKernel:
     """``numerics._chi2_cdf`` at ``ncp > 0``: ``P(I > J)`` for Poisson ``I`` (mean x/2) and ``J`` (mean ncp/2)."""
 
+    @pytest.mark.filterwarnings("error")
+    def test_central_law_is_expm1_bit_for_bit(self):
+        # At ncp = 0 the general kernel gives other last bits; the null studies' KS lines read these.
+        for x in (0.0, 5e-324, 1e-10, 5.99, 700.0, 1500.0, math.inf):
+            assert numerics._chi2_cdf(x, 0.0) == -np.expm1(-x / 2), x
+
+    def test_j_window_starts_at_0_wherever_the_erlang_sum_runs(self):
+        # The Erlang sum takes J's probabilities from 0: it runs for means up to
+        # 71.86, and the first window that starts above 0 is at 94.09.
+        lo, hi = numerics._window(np.linspace(0.0, 200.0, 2_000_001))
+        erlang = hi <= numerics._ERLANG_MAX_K
+        assert erlang.any() and not erlang.all()
+        assert np.all(lo[erlang] == 0.0)
+
     @pytest.mark.parametrize("ncp", KERNEL_NCPS)
     def test_within_1e_15_of_40_digits(self, ncp):
         # The stated budget is 1e-13; the grid pins the measured 3.3e-16 tighter,

@@ -625,6 +625,13 @@ class TestNonFiniteScore:
             assert str(err.value) == f"the shape score is not finite at the scale sigma = {fit.sigma!r} for lam = 1.0"
             assert "overflow encountered in power" in {str(w.message) for w in caught}
 
+    def test_one_finite_sum_is_refused(self):
+        # s1 = 0 is finite and s2 = inf: both sums are checked, not one.  The
+        # overflow warning before the error is a known defect (ROADMAP item 4).
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as err:
+            modified_score([1e7, -1e7, 2e7, -2e7], 1.0, LocationScale(0.0, 1e-300))
+        assert str(err.value) == "the shape score is not finite at the scale sigma = 1e-300 for lam = 1.0"
+
 
 class TestLocateWork:
     """Past one leaf, each pass of the location solve walks the leaves once, for s and s' together."""

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from apdgof import apd
@@ -124,6 +125,34 @@ class TestReplicateRng:
         a = replicate_rng(5, 0).random(4)
         b = replicate_rng(5, 1).random(4)
         assert not np.array_equal(a, b)
+
+    # The package hashes (seed, index) itself: each stream must stay numpy's own.
+    @staticmethod
+    def numpy_rng(seed, index):
+        return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**70))
+    @settings(max_examples=300, deadline=None)
+    def test_state_is_numpy_spawn_key_stream(self, seed, index):
+        assert replicate_rng(seed, index).bit_generator.state == self.numpy_rng(seed, index).bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2**64-1"])
+    @pytest.mark.parametrize("index", [0, 2**32 - 1, 2**32, 10**400], ids=["0", "2**32-1", "2**32", "10**400"])
+    def test_state_at_the_word_edges(self, seed, index):
+        ours, numpys = replicate_rng(seed, index), self.numpy_rng(seed, index)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        assert ours.random(3).tolist() == numpys.random(3).tolist()
+
+    def test_seed_object_gives_only_the_pcg64_words(self):
+        # The stream's seed object is not numpy's SeedSequence: it holds PCG64's four words.
+        rng = replicate_rng(5, 7)
+        seed = rng.bit_generator.seed_seq
+        assert seed.generate_state(4, "u8").tolist() == self.numpy_rng(5, 7).bit_generator.seed_seq.generate_state(
+            4, np.uint64).tolist()
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            seed.generate_state(8)
+        with pytest.raises(TypeError):
+            rng.spawn(1)
 
 
 class TestKsDistance:
