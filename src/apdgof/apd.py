@@ -74,23 +74,35 @@ class SepdParams:
 
 def _log_delta(theta1: float, theta2: float) -> float:
     # log(2ab/(a+b)) = log 2 - log(1/a + 1/b); a and b underflow for large
-    # theta2, their logs do not.
+    # theta2, their logs do not.  -inf where theta2 |log theta1| passes the
+    # double range (theta2 past about 1.5e308 at theta1 = 0.3).
     return _LOG2 - float(
         np.logaddexp(-theta2 * math.log(theta1), -theta2 * math.log1p(-theta1))
     )
 
 
+def _log_delta_over(theta1: float, theta2: float, shift: float = 0.0) -> float:
+    # (log delta - shift) / theta2, finite for every theta1 and theta2.  Where
+    # log delta is -inf, the larger log is taken out of logaddexp first and
+    # each term is divided by theta2 on its own.
+    log_delta = _log_delta(theta1, theta2)
+    if log_delta > -math.inf:
+        return (log_delta - shift) / theta2
+    l1, l2 = -math.log(theta1), -math.log1p(-theta1)
+    return (_LOG2 - shift) / theta2 - max(l1, l2) - math.log1p(math.exp(-theta2 * abs(l1 - l2))) / theta2
+
+
 def _root_delta(theta1: float, theta2: float) -> float:
     # delta^(1/theta2), which lies between min(theta1, 1 - theta1) and 1 for
     # every theta2; each branch exponent is 0.5 (root_delta |y| / base)^theta2.
-    return math.exp(_log_delta(theta1, theta2) / theta2)
+    return math.exp(_log_delta_over(theta1, theta2))
 
 
 # Cached: every replicate of a study draws with the same shape pair.
 @functools.lru_cache(maxsize=256)
 def _sample_scale(theta1: float, theta2: float) -> float:
     # c = (2/delta)^(1/theta2) of :func:`sample`; inf is caught there.
-    return np.exp((_LOG2 - _log_delta(theta1, theta2)) / theta2)
+    return np.exp(-_log_delta_over(theta1, theta2, _LOG2))
 
 
 def _log_norm_const(p: ApdParams) -> float:
@@ -100,7 +112,10 @@ def _log_norm_const(p: ApdParams) -> float:
         log_gamma = math.lgamma(1.0 + inv)
     except OverflowError:  # theta2 below about 3.9e-306: the constant is 0, as it is where 1/theta2 = inf
         return -math.inf
-    return inv * (_log_delta(p.theta1, p.theta2) - _LOG2) - log_gamma
+    log_delta = _log_delta(p.theta1, p.theta2)
+    if log_delta == -math.inf:
+        return _log_delta_over(p.theta1, p.theta2, _LOG2) - log_gamma
+    return inv * (log_delta - _LOG2) - log_gamma
 
 
 def _standardized(x, p: ApdParams):
@@ -121,7 +136,7 @@ def _standardized(x, p: ApdParams):
         if far.any():
             # |x - mu| = 2 |x/2 - mu/2|; the halves are exact where |y| overflows
             log_z = np.log(np.abs(x / 2 - p.mu / 2)) - np.log(base)
-            log_z += _LOG2 + _log_delta(t1, t2) / t2 - math.log(p.sigma)
+            log_z += _LOG2 + _log_delta_over(t1, t2) - math.log(p.sigma)
             power = np.where(far, np.exp(t2 * log_z), power)
     return y, z, power
 

@@ -2,8 +2,9 @@
 
     python tests/digest.py [--quick] > digest.txt
 
-Run it in a checkout of each version (it imports the ``src/`` next to this
-directory) and ``cmp`` the two files.  A line names its case, then gives
+It imports the ``src/`` next to this directory.  ``tests/gate.py`` runs it
+in this tree and in a ``git archive`` copy of the base commit, and shows
+the two outputs' line counts, sha256 and diff.  A line names its case, then gives
 the outputs as ``float.hex``, or the error class and message, then every
 warning the case raised.  The cases:
 

@@ -109,6 +109,23 @@ def delta_coeff(theta1, theta2):
     return math.exp(apd._log_delta(theta1, theta2))
 
 
+def mp_cdf_and_log_pdf(xs, p: ApdParams):
+    """The CDF and the log density at each of ``xs`` from the APD's formulas in 40-digit mpmath."""
+    with mp.workdps(40):
+        t1, t2 = mp.mpf(p.theta1), mp.mpf(p.theta2)
+        a, b = t1**t2, (1 - t1) ** t2
+        delta = 2 * a * b / (a + b)
+        log_norm = mp.log(delta / 2) / t2 - mp.loggamma(1 + 1 / t2) - mp.log(mp.mpf(p.sigma))
+        cdfs, log_pdfs = [], []
+        for x in xs:
+            y = (mp.mpf(x) - mp.mpf(p.mu)) / mp.mpf(p.sigma)
+            t = delta / (2 * (a if y < 0 else b)) * abs(y) ** t2
+            lower = mp.gammainc(1 / t2, 0, t, regularized=True)
+            cdfs.append(float(t1 * (1 - lower) if y < 0 else t1 + (1 - t1) * lower))
+            log_pdfs.append(float(log_norm - t))
+    return cdfs, log_pdfs
+
+
 class TestDeltaCoeff:
     @pytest.mark.parametrize("t2", [0.5, 1.0, 2.0, 3.7])
     def test_symmetric_collapses(self, t2):
@@ -258,17 +275,7 @@ class TestCdf:
         # y = x / sigma = +-1e608 is past the double range but t is not: the CDF
         # was 1.0 and 0.0, and the log density -inf
         p = ApdParams(0.3, theta2, 0.0, 1e-300)
-        mp.mp.dps = 40
-        t1, t2 = mp.mpf(p.theta1), mp.mpf(p.theta2)
-        a, b = t1**t2, (1 - t1) ** t2
-        delta = 2 * a * b / (a + b)
-        log_norm = mp.log(delta / 2) / t2 - mp.loggamma(1 + 1 / t2) - mp.log(mp.mpf(p.sigma))
-        expected_cdf, expected_log_pdf = [], []
-        for y in (mp.mpf(1e308) / mp.mpf(p.sigma), mp.mpf(-1e308) / mp.mpf(p.sigma)):
-            t = delta / (2 * (a if y < 0 else b)) * abs(y) ** t2
-            lower = mp.gammainc(1 / t2, 0, t, regularized=True)
-            expected_cdf.append(float(t1 * (1 - lower) if y < 0 else t1 + (1 - t1) * lower))
-            expected_log_pdf.append(float(log_norm - t))
+        expected_cdf, expected_log_pdf = mp_cdf_and_log_pdf([1e308, -1e308], p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_allclose(cdf([1e308, -1e308], p), expected_cdf, rtol=1e-9, atol=0)
@@ -414,6 +421,32 @@ class TestLargeTheta2:
         u = np.array([1e-6, 0.05, 0.2, t1, 0.6, 0.95, 1.0 - 1e-6])
         assert_allclose(cdf(quantile(u, p), p), u, rtol=1e-9, atol=0)
         assert quantile(t1, p) == 3.0
+
+    @pytest.mark.parametrize("t1", [0.3, 1e-9])
+    @pytest.mark.parametrize("t2", [1.5e308, 1.7e308])
+    def test_log_delta_past_the_double_range(self, t1, t2):
+        # theta2 |log theta1| overflows, so log delta is -inf; delta^(1/theta2) was 0
+        # there, the density and the CDF at the mode's side values wrong, and quantile
+        # and sample raised DomainError
+        p = ApdParams(t1, t2)
+        expected_cdf, expected_log_pdf = mp_cdf_and_log_pdf([0.1, -0.1], p)
+        u = np.array([1e-6, 0.05, t1, 0.6, 0.95])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_allclose(cdf([0.1, -0.1], p), expected_cdf, rtol=1e-12, atol=0)
+            assert_allclose(log_pdf([0.1, -0.1], p), expected_log_pdf, rtol=1e-12, atol=0)
+            x = quantile(u, p)
+            assert np.isfinite(x).all()
+            assert_allclose(cdf(x, p), u, rtol=1e-9, atol=0)
+            assert np.isfinite(sample(p, 1000, np.random.default_rng(7))).all()
+
+    @pytest.mark.parametrize("fn, expected", [(log_pdf, [-math.inf, -math.inf]), (cdf, [1.0, 0.0])])
+    def test_no_nan_where_both_log_delta_and_y_overflow(self, fn, expected):
+        # z was 0 * inf there: NaN, with "invalid value encountered in scalar multiply"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fn([1e308, -1e308], ApdParams(0.3, 1.7e308, 0.0, 1e-300))
+        assert_allclose(out, expected, rtol=0, atol=0)
 
     def test_unrepresentable_quantities_raise_domain_error(self):
         tiny = ApdParams(0.5, 1e-3)

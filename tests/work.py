@@ -2,8 +2,9 @@
 
     python tests/work.py [--quick] > work.txt
 
-Run it in a checkout of each version (it imports the ``src/`` next to this
-directory) and ``cmp`` the two files.  While it runs, the ``np`` of
+It imports the ``src/`` next to this directory.  ``tests/gate.py`` runs it
+in this tree and in a ``git archive`` copy of the base commit, and shows
+the two outputs' line counts, sha256 and diff.  While it runs, the ``np`` of
 ``apdgof.score``, ``apdgof.apd`` and ``apdgof.numerics`` is a proxy that
 counts every call of a ufunc or of a ufunc method such as ``add.reduce``,
 and every call of a numpy function such as ``median`` that is passed an
