@@ -20,6 +20,11 @@ warning the case raised.  The cases:
   ``np.median``;
 - ``apd.sample`` draws, by sha256, at tail exponents whose ``1/theta2``
   covers every fast path of ``**`` (0.5, 1, 2) and ``np.power``;
+- apd's density side over :data:`APD_SHAPES`, from theta1 = 1e-300 to
+  1 - 2**-52, theta2 = 1e-300 to 1e300 and sigma = 1e-300 to 1e300: a line
+  each for ``log_pdf`` and ``cdf`` at :data:`APD_XS`, ``quantile`` at
+  :data:`APD_US` and the sha256 of ten ``sample`` draws at seed 0; and
+  ``from_sepd`` at gamma = 1.5 for q from 1e-17 to 3;
 - the sha256 of the JSON of size studies at lam = 3 and power studies at
   lam = 2, at seeds 1 to 3, and of size studies at lam = 1 there, at
   that n and at an odd n (201), whose replicates fit in their own draws;
@@ -71,6 +76,16 @@ SCALES = (1e150, 1e-150, 1e300, 1e-300)
 # **), then 1/3 and an exponent near 1/2 that is not 0.5 (np.power).
 SHAPES = (0.5, 1.0, 2.0, 3.0, 2.0067)
 STUDY_SEEDS = (1, 2, 3)
+# apd's density side: every (theta1, theta2, sigma) at mu = 0, from the ends of the double range in.
+APD_SHAPES = tuple(
+    apd.ApdParams(t1, t2, 0.0, sigma)
+    for t1 in (1e-300, 1e-9, 0.3, 0.5, 0.9, 1.0 - 2.0**-52)
+    for t2 in (1e-300, 1e-100, 1e-10, 0.01, 1.0, 3.0, 1e10, 1e300)
+    for sigma in (1e-300, 1.0, 1e300)
+)
+APD_XS = (0.0, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300)
+APD_US = (1e-9, 0.3, 0.5, 0.99)
+SEPD_QS = (1e-17, 1e-12, 1e-8, 1e-4, 1.0, 3.0)
 # The noncentral law: an ncp grid, an x grid, and (x, ncp) at the edges of its domain.
 NCPS = (1e-3, 0.3, 1.3, 4.0, 40.0, 800.0, 5000.0, 1e4)
 XS = (0.0, 1e-3, 0.5, 3.0, 5.99, 12.0, 30.0, 60.0, 900.0, 1e4)
@@ -229,7 +244,24 @@ def digest(quick: bool = False) -> list[str]:
         for m in (n, 201):  # the median of an even and of an odd n
             laplace = simulate.StudyConfig(1.0, m, 100, seed, alpha_grid=NULL_GRID)
             lines.append(_line(f"size study lam=1 n={m} seed={seed}", lambda: _study(laplace)))
-    return lines + _laws(quick) + _parses(quick)
+    return lines + _density(quick) + _laws(quick) + _parses(quick)
+
+
+def _density(quick: bool) -> list[str]:
+    """A line per apd function and shape: ``log_pdf``, ``cdf``, ``quantile``, ``sample``'s sha256, then ``from_sepd``."""
+    shapes = APD_SHAPES[60:66] if quick else APD_SHAPES  # quick: theta1 = 0.3, theta2 in (1, 3)
+    lines = []
+    for p in shapes:
+        name = f"theta1={p.theta1!r} theta2={p.theta2!r} sigma={p.sigma!r}"
+        lines += [
+            _line(f"log_pdf {name}", lambda: apd.log_pdf(APD_XS, p)),
+            _line(f"cdf {name}", lambda: apd.cdf(APD_XS, p)),
+            _line(f"quantile {name}", lambda: apd.quantile(APD_US, p)),
+            _line(f"sample {name} n=10 seed=0", lambda: _sha(apd.sample(p, 10, np.random.default_rng(0)).tobytes())),
+        ]
+    for q in SEPD_QS:
+        lines.append(_line(f"from_sepd gamma=1.5 q={q}", lambda: [apd.from_sepd(apd.SepdParams(1.5, q)).sigma]))
+    return lines
 
 
 def _laws(quick: bool) -> list[str]:
