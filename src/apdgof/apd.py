@@ -14,12 +14,19 @@ and side coefficient ``A(y) = a`` left of the mode, ``b`` right of it.
 
 The family is an equivalent reparametrization of the skewed exponential
 power distribution (:class:`SepdParams`, :func:`from_sepd`).
+
+Every function reads a shape's constants from one cached function of
+``(theta1, theta2)``: ``log delta^(1/theta2)``, the log of the Gamma term
+``2^(1/theta2) Gamma(1 + 1/theta2)``, and the sampler's ``c =
+(2/delta)^(1/theta2)``.  None of them forms these itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +35,7 @@ from .errors import DomainError
 from .numerics import _check_fields, _check_size, _reals, gamma_sample
 
 _LOG2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)  # np.exp is finite up to here, inclusive
 # Where the incomplete-gamma argument t falls below this, e^-t and the
 # higher series terms of P(a, t) are 1 to double precision.
 _TINY = 1e-20
@@ -72,50 +80,32 @@ class SepdParams:
         _check_fields(self, ("gamma", "q", "m", "s"), positive=("gamma", "q", "s"))
 
 
-def _log_delta(theta1: float, theta2: float) -> float:
-    # log(2ab/(a+b)) = log 2 - log(1/a + 1/b); a and b underflow for large
-    # theta2, their logs do not.  -inf where theta2 |log theta1| passes the
-    # double range (theta2 past about 1.5e308 at theta1 = 0.3).
-    return _LOG2 - float(
-        np.logaddexp(-theta2 * math.log(theta1), -theta2 * math.log1p(-theta1))
-    )
-
-
-def _log_delta_over(theta1: float, theta2: float, shift: float = 0.0) -> float:
-    # (log delta - shift) / theta2, finite for every theta1 and theta2.  Where
-    # log delta is -inf, the larger log is taken out of logaddexp first and
-    # each term is divided by theta2 on its own.
-    log_delta = _log_delta(theta1, theta2)
-    if log_delta > -math.inf:
-        return (log_delta - shift) / theta2
-    l1, l2 = -math.log(theta1), -math.log1p(-theta1)
-    return (_LOG2 - shift) / theta2 - max(l1, l2) - math.log1p(math.exp(-theta2 * abs(l1 - l2))) / theta2
-
-
-def _root_delta(theta1: float, theta2: float) -> float:
-    # delta^(1/theta2), which lies between min(theta1, 1 - theta1) and 1 for
-    # every theta2; each branch exponent is 0.5 (root_delta |y| / base)^theta2.
-    return math.exp(_log_delta_over(theta1, theta2))
-
-
 # Cached: every replicate of a study draws with the same shape pair.
 @functools.lru_cache(maxsize=256)
-def _sample_scale(theta1: float, theta2: float) -> float:
-    # c = (2/delta)^(1/theta2) of :func:`sample`; inf is caught there.
-    return np.exp(-_log_delta_over(theta1, theta2, _LOG2))
+def _shape(theta1: float, theta2: float) -> tuple[float, float, float]:
+    """``log delta^(1/theta2)``, ``log(2^(1/theta2) Gamma(1 + 1/theta2))`` and ``c = (2/delta)^(1/theta2)``.
 
-
-def _log_norm_const(p: ApdParams) -> float:
-    # log of delta^(1/t2) / (2^(1/t2) Gamma(1 + 1/t2))
-    inv = 1.0 / p.theta2
+    With ``l1 = -log theta1`` and ``l2 = -log(1 - theta1)``, ``delta = 2 /
+    (e^(theta2 l1) + e^(theta2 l2))``; taking the larger log out first keeps
+    ``log delta^(1/theta2)`` finite and accurate at every ``theta2``.  The
+    Gamma term is inf where ``lgamma`` overflows (``theta2`` below about
+    3.9e-306): the density is 0 there.  ``c`` keeps the form every seeded
+    draw was made with, ``exp(-(log delta - log 2) / theta2)``, except where
+    ``log delta`` is -inf; it is inf where it overflows.
+    """
+    l1, l2 = -math.log(theta1), -math.log1p(-theta1)
+    # Below 1e-300 the last term is |l1 - l2| / 2 to double precision, and
+    # theta2 |l1 - l2| could lose digits as a subnormal.
+    w = max(theta2, 1e-300)
+    log_root = -max(l1, l2) - math.log1p(math.expm1(-w * abs(l1 - l2)) / 2) / w
+    inv = 1.0 / theta2
     try:
-        log_gamma = math.lgamma(1.0 + inv)
-    except OverflowError:  # theta2 below about 3.9e-306: the constant is 0, as it is where 1/theta2 = inf
-        return -math.inf
-    log_delta = _log_delta(p.theta1, p.theta2)
-    if log_delta == -math.inf:
-        return _log_delta_over(p.theta1, p.theta2, _LOG2) - log_gamma
-    return inv * (log_delta - _LOG2) - log_gamma
+        log_gamma = inv * _LOG2 + math.lgamma(1.0 + inv)
+    except OverflowError:
+        log_gamma = math.inf
+    log_delta = _LOG2 - float(np.logaddexp(theta2 * l1, theta2 * l2))
+    log_c = -(log_delta - _LOG2) / theta2 if log_delta > -math.inf else _LOG2 / theta2 - log_root
+    return log_root, log_gamma, float(np.exp(log_c)) if log_c <= _LOG_MAX else math.inf
 
 
 def _standardized(x, p: ApdParams):
@@ -127,16 +117,17 @@ def _standardized(x, p: ApdParams):
     """
     x = _reals(x, "x")
     t1, t2 = p.theta1, p.theta2
+    log_root = _shape(t1, t2)[0]
     with np.errstate(over="ignore", divide="ignore"):
         y = (x - p.mu) / p.sigma
         base = np.where(y < 0, t1, 1.0 - t1)
-        z = _root_delta(t1, t2) * np.abs(y) / base
+        z = math.exp(log_root) * np.abs(y) / base
         power = z**t2
         far = np.isinf(z)
         if far.any():
             # |x - mu| = 2 |x/2 - mu/2|; the halves are exact where |y| overflows
             log_z = np.log(np.abs(x / 2 - p.mu / 2)) - np.log(base)
-            log_z += _LOG2 + _log_delta_over(t1, t2) - math.log(p.sigma)
+            log_z += _LOG2 + log_root - math.log(p.sigma)
             power = np.where(far, np.exp(t2 * log_z), power)
     return y, z, power
 
@@ -144,7 +135,8 @@ def _standardized(x, p: ApdParams):
 def log_pdf(x, p: ApdParams):
     """Log density at ``x`` (scalar or array)."""
     tail = _standardized(x, p)[2]  # inf far in the tails: log density -inf
-    out = _log_norm_const(p) - 0.5 * tail - math.log(p.sigma)
+    log_root, log_gamma = _shape(p.theta1, p.theta2)[:2]
+    out = log_root - log_gamma - 0.5 * tail - math.log(p.sigma)
     return float(out) if out.ndim == 0 else out
 
 
@@ -167,16 +159,19 @@ def cdf(x, p: ApdParams):
     t1, t2 = p.theta1, p.theta2
     a = 1.0 / t2
     t = 0.5 * power
-    # invalid: where z = inf, at theta2 below about 4e-306, log z - a log 2
-    # - gammaln(1 + a) is inf - inf; there t > 0.5 is not small, so that
-    # NaN p_small is discarded below.
+    # invalid: where z = inf, at theta2 below about 4e-306, log z minus the
+    # Gamma term is inf - inf; there t > 0.5 is not small, so that NaN
+    # p_small is discarded below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # Below _TINY, P(a, t) = t^a / Gamma(1 + a) to double precision, and
         # t^a = z / 2^a stays representable where t underflows (large theta2).
-        p_small = np.exp(np.log(z) - a * _LOG2 - sc.gammaln(1.0 + a))
-    small = t < _TINY
-    lower = np.where(small, p_small, sc.gammainc(a, t))
-    upper = np.where(small, 1.0 - p_small, sc.gammaincc(a, t))
+        p_small = np.exp(np.log(z) - _shape(t1, t2)[1])
+    lower = np.where(t < _TINY, p_small, sc.gammainc(a, t))
+    upper = sc.gammaincc(a, t)
+    # The smaller tail as computed, the larger as its complement: scipy's
+    # larger tail can pass 1 (gammainc(1e-300, 0.5) is 1 + 2.3e-14).
+    p_tail = lower <= upper
+    lower, upper = np.where(p_tail, lower, 1.0 - upper), np.where(p_tail, 1.0 - lower, upper)
     out = np.where(y < 0, t1 * upper, t1 + (1.0 - t1) * lower)
     return float(out) if out.ndim == 0 else out
 
@@ -194,6 +189,7 @@ def quantile(u, p: ApdParams):
     if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("u must lie in (0, 1)")
     t1, t2 = p.theta1, p.theta2
+    log_root, log_gamma = _shape(t1, t2)[:2]
     a = 1.0 / t2
     left = u <= t1
     q_left = np.where(left, u / t1, 1.0)
@@ -206,10 +202,10 @@ def quantile(u, p: ApdParams):
     with np.errstate(over="ignore", divide="ignore"):
         # The inverse of the small-t branch of cdf: (2t)^a = 2^a Gamma(1 + a) P.
         p_lower = np.where(left, 1.0 - q_left, q_right)
-        root_small = np.exp(a * _LOG2 + sc.gammaln(1.0 + a) + np.log(p_lower))
-        mag = np.where(t < _TINY, root_small, (2.0 * t) ** a) / _root_delta(t1, t2)
-    y = np.where(left, -t1 * mag, (1.0 - t1) * mag)
-    out = p.mu + p.sigma * y
+        root_small = np.exp(log_gamma + np.log(p_lower))
+        mag = np.where(t < _TINY, root_small, (2.0 * t) ** a) / math.exp(log_root)
+        y = np.where(left, -t1 * mag, (1.0 - t1) * mag)
+        out = p.mu + p.sigma * y
     if not np.all(np.isfinite(out)):
         raise DomainError(f"quantile overflows for theta2={t2}")
     return float(out) if out.ndim == 0 else out
@@ -227,8 +223,8 @@ def sample(p: ApdParams, n: int, rng: np.random.Generator) -> np.ndarray:
     the exact boost ``T = G U^theta2`` with ``U`` the uniform ``V`` rescaled
     to (0, 1) on its side.  Validated against :func:`cdf` by
     Kolmogorov-Smirnov tests.  Raises :class:`DomainError` when a draw
-    overflows (tiny ``theta2``), and :class:`MemoryError` when ``n`` draws do
-    not fit in memory.
+    overflows (tiny ``theta2``, or before drawing where ``c sigma`` does),
+    and :class:`MemoryError` when ``n`` draws do not fit in memory.
 
     The draws take two arrays of ``n`` floats at most: ``G`` is raised to
     ``1/theta2`` in its own buffer by ``**=``, which picks the kernel ``**``
@@ -239,15 +235,22 @@ def sample(p: ApdParams, n: int, rng: np.random.Generator) -> np.ndarray:
     if n == 0:
         return np.empty(0)
     t1, t2 = p.theta1, p.theta2
-    c = _sample_scale(t1, t2)
-    y = gamma_sample(1.0 + 1.0 / t2, rng, size=n)
-    y **= 1.0 / t2
-    v = rng.random(n)
-    v -= t1
-    y *= v
-    del v
-    y *= p.sigma * c
-    y += p.mu
+    scale = p.sigma * _shape(t1, t2)[2]
+    if scale == math.inf:
+        raise DomainError(f"draws overflow for theta2={t2}")
+    # At theta2 >= 1, G^(1/theta2) <= G stays far below 1e3 (numpy's gamma
+    # variates of shape <= 2), so no step overflows while c sigma and |mu| are
+    # at most 1e300; elsewhere the finite check below raises where one does.
+    quiet = t2 < 1.0 or scale > 1e300 or abs(p.mu) > 1e300
+    with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+        y = gamma_sample(1.0 + 1.0 / t2, rng, size=n)
+        y **= 1.0 / t2
+        v = rng.random(n)
+        v -= t1
+        y *= v
+        del v
+        y *= scale
+        y += p.mu
     if not np.isfinite(y).all():
         raise DomainError(f"draws overflow for theta2={t2}")
     return y
@@ -268,5 +271,5 @@ def from_sepd(sp: SepdParams) -> ApdParams:
     if not 0.0 < theta1 < 1.0:
         raise DomainError(f"the SEPD skewness gamma = {sp.gamma!r} maps to theta1 = {theta1!r}, outside (0, 1)")
     theta2 = sp.q
-    sigma = _root_delta(theta1, theta2) * (sp.gamma + 1.0 / sp.gamma) * sp.s
+    sigma = math.exp(_shape(theta1, theta2)[0]) * (sp.gamma + 1.0 / sp.gamma) * sp.s
     return ApdParams(theta1=theta1, theta2=theta2, mu=sp.m, sigma=sigma)

@@ -28,7 +28,8 @@ from apdgof.apd import (
     quantile,
     sample,
 )
-from apdgof.errors import DomainError
+from apdgof.errors import ApdGofError, DomainError
+from tests import digest
 
 STANDARD_NORMAL = ApdParams(0.5, 2.0, 0.0, 1.0)
 STANDARD_LAPLACE = ApdParams(0.5, 1.0, 0.0, 1.0)
@@ -105,13 +106,13 @@ class TestParams:
 
 
 def delta_coeff(theta1, theta2):
-    """``2ab/(a+b)`` from the log form the density and sampler use."""
-    return math.exp(apd._log_delta(theta1, theta2))
+    """``2ab/(a+b)`` from the ``log delta^(1/theta2)`` that every apd function reads."""
+    return math.exp(apd._shape(theta1, theta2)[0] * theta2)
 
 
-def mp_cdf_and_log_pdf(xs, p: ApdParams):
-    """The CDF and the log density at each of ``xs`` from the APD's formulas in 40-digit mpmath."""
-    with mp.workdps(40):
+def mp_cdf_and_log_pdf(xs, p: ApdParams, dps=40):
+    """The CDF and the log density at each of ``xs`` from the APD's formulas in ``dps``-digit mpmath."""
+    with mp.workdps(dps):
         t1, t2 = mp.mpf(p.theta1), mp.mpf(p.theta2)
         a, b = t1**t2, (1 - t1) ** t2
         delta = 2 * a * b / (a + b)
@@ -212,7 +213,7 @@ class TestLogPdf:
             dens = pdf(x, p)
         y = (x - p.mu) / p.sigma
         base = np.where(y < 0, p.theta1, 1.0 - p.theta1)
-        z = apd._root_delta(p.theta1, p.theta2) * np.abs(y) / base
+        z = math.exp(apd._shape(p.theta1, p.theta2)[0]) * np.abs(y) / base
         overflows = p.theta2 * np.log(z) > math.log(np.finfo(float).max)
         assert np.isfinite(dens).all()
         assert overflows.any() and not overflows.all()
@@ -281,6 +282,17 @@ class TestCdf:
             assert_allclose(cdf([1e308, -1e308], p), expected_cdf, rtol=1e-9, atol=0)
             assert_allclose(log_pdf([1e308, -1e308], p), expected_log_pdf, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("p", [ApdParams(0.5, 1e300), ApdParams(0.9, 1e300), ApdParams(0.5, 1e300, 0.0, 1e300)],
+                             ids=["symmetric", "theta1=0.9", "sigma=1e300"])
+    def test_larger_tail_is_the_complement_of_the_smaller(self, p):
+        # scipy's gammainc(1e-300, 0.5) is 1 + 2.3e-14: the CDF passed 1 by 1.1e-14.
+        # The left tail is about 1e-300, so the oracle keeps 340 digits.
+        x = [p.sigma, -p.sigma]
+        expected = mp_cdf_and_log_pdf(x, p, dps=340)[0]
+        out = cdf(x, p)
+        assert ((0.0 <= out) & (out <= 1.0)).all()
+        assert_allclose(out, expected, rtol=1e-13, atol=0)
+
 
 class TestQuantile:
     @pytest.mark.parametrize("p", PARAM_SETS + [ApdParams(0.6, 1.2, 4.0, 0.7)])
@@ -337,7 +349,7 @@ class TestSample:
         rng = np.random.default_rng(41)
         g = rng.standard_gamma(1.0 + 1.0 / t2, 2000)
         u = rng.random(2000)
-        expected = ((g ** (1.0 / t2)) * (u - t1)) * (p.sigma * apd._sample_scale(t1, t2)) + p.mu
+        expected = ((g ** (1.0 / t2)) * (u - t1)) * (p.sigma * apd._shape(t1, t2)[2]) + p.mu
         assert sample(p, 2000, np.random.default_rng(41)).tobytes() == expected.tobytes()
 
     def test_mass_left_of_mode(self):
@@ -449,11 +461,52 @@ class TestLargeTheta2:
         assert_allclose(out, expected, rtol=0, atol=0)
 
     def test_unrepresentable_quantities_raise_domain_error(self):
+        # With no warning first: sample warned "overflow encountered in power" (G^200,
+        # G^1000), "exp" (c at theta2 = 1e-5), "multiply" (c G^100 at theta1 = 1e-300)
+        # or "scalar multiply" (sigma c), and quantile "multiply" (sigma y).
         tiny = ApdParams(0.5, 1e-3)
-        with pytest.raises(DomainError), np.errstate(over="ignore"):
-            sample(tiny, 100, np.random.default_rng(0))  # G^1000
-        with pytest.raises(DomainError):
-            quantile(0.9, tiny)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (ApdParams(0.5, 5e-3), tiny, ApdParams(0.5, 1e-5), ApdParams(1e-300, 0.01),
+                      ApdParams(0.5, 2.0, 0.0, 1e308)):
+                with pytest.raises(DomainError):
+                    sample(p, 1000, np.random.default_rng(0))
+            with pytest.raises(DomainError):
+                quantile(0.9, tiny)
+            with pytest.raises(DomainError):
+                quantile(0.5, ApdParams(1e-300, 1.0, 0.0, 1e300))
+
+
+class TestValueAxis:
+    """Each function over the digest's grid of shapes, from the ends of the double range in.
+
+    Every call returns values that are not NaN (a log density may be -inf
+    where the density is 0; every other value is finite, and a CDF lies in
+    [0, 1]) or raises an :class:`ApdGofError`, and it warns nowhere.
+    """
+
+    CALLS = {
+        "log_pdf": (lambda p: log_pdf(digest.APD_XS, p), lambda v: (v < math.inf).all()),
+        "cdf": (lambda p: cdf(digest.APD_XS, p), lambda v: ((0.0 <= v) & (v <= 1.0)).all()),
+        "quantile": (lambda p: quantile(digest.APD_US, p), lambda v: np.isfinite(v).all()),
+        "sample": (lambda p: sample(p, 10, np.random.default_rng(0)), lambda v: np.isfinite(v).all()),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_a_valid_value_or_a_typed_error(self, name):
+        call, valid = self.CALLS[name]
+        failed = []
+        for p in digest.APD_SHAPES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    if not valid(np.asarray(call(p))):
+                        failed.append((p, "invalid value"))
+                except ApdGofError:
+                    pass
+                except Exception as exc:  # a warning raised as an error, or a bare exception
+                    failed.append((p, repr(exc)))
+        assert not failed, "\n".join(f"{p}: {why}" for p, why in failed)
 
 
 class TestSepdEquivalence:
@@ -487,6 +540,17 @@ class TestSepdEquivalence:
             p = from_sepd(sp)
             x = np.linspace(sp.m - 5 * sp.s, sp.m + 5 * sp.s, 50)
             assert_allclose(pdf(x, p), sepd_pdf(x, sp), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [5e-324, 1e-310, 1e-17, 1e-12, 1e-8, 1e-4])
+    def test_scale_at_small_tail_exponents_against_mpmath(self, q):
+        # delta^(1/q) came from log delta / q, whose digits cancel as q -> 0: 117% off at
+        # 1e-17.  At a subnormal q, q |log(theta1 / (1 - theta1))| is itself short of digits.
+        p = from_sepd(SepdParams(1.5, q))
+        with mp.workdps(400):
+            t1, q_ = mp.mpf(p.theta1), mp.mpf(q)
+            a, b = t1**q_, (1 - t1) ** q_
+            expected = (2 * a * b / (a + b)) ** (1 / q_) * (mp.mpf(1.5) + 1 / mp.mpf(1.5))
+        assert_allclose(p.sigma, float(expected), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("gamma, theta1", [(1e-8, 1.0), (1e-200, 1.0), (1.4e154, 0.0), (1e200, 0.0)])
     def test_extreme_skewness_is_a_domain_error(self, gamma, theta1):
